@@ -23,29 +23,13 @@ import repro.data.CompactGraph
 object Bounds {
 
   /** Offline, query-independent bound: value iteration of the operator
-    * `UB(u) ← min(n, 1 + Σ p^max_{uv}·UB(v))` starting from the sound
-    * `UB ≡ n`. Every application preserves soundness and the sequence is
-    * non-increasing, so any finite iteration count yields a valid bound.
+    * `UB(u) ← min(UB(u), 1 + Σ p^max_{uv}·UB(v))` starting from the sound
+    * `UB ≡ n` — that is, [[localUB]] under `p^max`. Every application
+    * preserves soundness and the sequence is non-increasing (so it stays
+    * at most n), hence any finite iteration count yields a valid bound.
     */
-  def precomputedUB(g: CompactGraph, iterations: Int = 50): Array[Double] = {
-    val pmax = g.maxProbs()
-    var ub = Array.fill(g.n)(g.n.toDouble)
-    var it = 0
-    while (it < iterations) {
-      val next = new Array[Double](g.n)
-      var u = 0
-      while (u < g.n) {
-        var acc = 1.0
-        var e = g.outOffsets(u)
-        while (e < g.outOffsets(u + 1)) { acc += pmax(e) * ub(g.outDst(e)); e += 1 }
-        next(u) = math.min(g.n.toDouble, math.min(acc, ub(u)))
-        u += 1
-      }
-      ub = next
-      it += 1
-    }
-    ub
-  }
+  def precomputedUB(g: CompactGraph, iterations: Int = 50): Array[Double] =
+    localUB(g, g.maxProbs(), Array.fill(g.n)(g.n.toDouble), iterations)
 
   /** Query-aware one-hop refinement: the first hop uses the actual mixed
     * probabilities `probs` of the query γ, deeper hops fall back to the

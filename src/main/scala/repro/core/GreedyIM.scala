@@ -82,41 +82,19 @@ object GreedyIM {
       candidates: Option[Seq[Int]] = None,
       initialUpper: Option[Array[Double]] = None,
   ): IMResult = {
+    require(numSamples > 0, s"numSamples must be positive, got $numSamples")
     val t0 = System.nanoTime()
     var evals = 0L
 
     // per-world reached set of the current seed set S (empty at start)
     val reached = Array.fill(numSamples)(new java.util.BitSet(g.n))
+    val walk = new LiveWalk(g.n)
 
-    // Count nodes newly reachable from u in world `sample`, treating
-    // nodes already in reached(sample) as terminal. If grow=true the
-    // reached set is updated in place (u is being added to S).
-    def newInWorld(u: Int, sample: Int, grow: Boolean): Int = {
-      val base = reached(sample)
-      if (base.get(u)) return 0
-      val seen = new java.util.BitSet(g.n)
-      seen.set(u)
-      var count = 1
-      val stack = mutable.ArrayDeque(u)
-      while (stack.nonEmpty) {
-        val x = stack.removeLast()
-        var e = g.outOffsets(x)
-        val end = g.outOffsets(x + 1)
-        while (e < end) {
-          val v = g.outDst(e)
-          if (!seen.get(v) && !base.get(v) && WorldSampler.u01(seed, sample, e) < probs(e)) {
-            seen.set(v); count += 1; stack.append(v)
-          }
-          e += 1
-        }
-      }
-      if (grow) base.or(seen)
-      count
-    }
-
+    // Nodes newly reachable from u, per world, stopping at reached nodes.
     def marginal(u: Int): Double = {
+      val source = Array(u)
       var s = 0; var acc = 0L
-      while (s < numSamples) { acc += newInWorld(u, s, grow = false); s += 1 }
+      while (s < numSamples) { acc += walk.forward(g, probs, seed, s, source, reached(s)); s += 1 }
       acc.toDouble / numSamples
     }
 
@@ -134,15 +112,18 @@ object GreedyIM {
         }
     }
     val seeds = mutable.ArrayBuffer.empty[Int]
-    var curSpread = 0.0
     var round = 0
     while (seeds.length < k && pq.nonEmpty) {
-      val (value, u, evalRound) = pq.dequeue()
+      val (_, u, evalRound) = pq.dequeue()
       if (evalRound == round) {
         seeds += u
-        curSpread += value
+        val source = Array(u)
         var s = 0
-        while (s < numSamples) { newInWorld(u, s, grow = true); s += 1 }
+        while (s < numSamples) {
+          walk.forward(g, probs, seed, s, source, reached(s))
+          walk.addVisitedTo(reached(s))
+          s += 1
+        }
         round += 1
       } else {
         evals += 1

@@ -1,0 +1,145 @@
+package repro.core
+
+import repro.data.CompactGraph
+
+import scala.collection.mutable
+
+/** Reusable scratch for walks over the live edges of one possible world.
+  *
+  * Every service rests on one primitive: reachability over the edges that
+  * are live in the world `(seed, sample)`, where edge `e` is live iff
+  * `WorldSampler.u01(seed, sample, e) < probs(e)`. The walks below all run
+  * on the same two arrays: epoch-stamped visit marks (bumping the epoch
+  * clears them in O(1)) and an `Int` array that holds the visit order
+  * (a queue), or the stack of the edge-recording walk.
+  *
+  * One instance belongs to one call (or one Spark partition) and is
+  * reused across its walks; it is not thread-safe.
+  *
+  * @param n number of nodes; ids must lie in `0 until n`
+  */
+final class LiveWalk(n: Int) {
+  private val mark = new Array[Int](n)
+  private var epoch = 0
+  private val nodes = new Array[Int](n)
+  private var size = 0
+
+  private def start(): Unit = {
+    if (epoch == Int.MaxValue) { java.util.Arrays.fill(mark, 0); epoch = 0 }
+    epoch += 1
+    size = 0
+  }
+
+  private def visit(v: Int): Unit = { mark(v) = epoch; nodes(size) = v; size += 1 }
+
+  /** Was `v` visited by the last walk? */
+  def visited(v: Int): Boolean = mark(v) == epoch
+
+  /** Set every node the last [[forward]] or [[stored]] walk visited in `bits`. */
+  def addVisitedTo(bits: java.util.BitSet): Unit = {
+    var i = 0
+    while (i < size) { bits.set(nodes(i)); i += 1 }
+  }
+
+  /** Forward walk from `sources` in the world `(seed, sample)`. Nodes in
+    * `stop` (may be null) are neither visited nor walked through: their
+    * downstream is already covered. Returns the number of nodes visited.
+    */
+  def forward(
+      g: CompactGraph,
+      probs: Array[Double],
+      seed: Long,
+      sample: Long,
+      sources: Array[Int],
+      stop: java.util.BitSet,
+  ): Int = {
+    start()
+    var i = 0
+    while (i < sources.length) {
+      val s = sources(i)
+      if (!visited(s) && (stop == null || !stop.get(s))) visit(s)
+      i += 1
+    }
+    var head = 0
+    while (head < size) {
+      val u = nodes(head); head += 1
+      var e = g.outOffsets(u)
+      val end = g.outOffsets(u + 1)
+      while (e < end) {
+        val v = g.outDst(e)
+        if (mark(v) != epoch && (stop == null || !stop.get(v)) &&
+            WorldSampler.u01(seed, sample, e) < probs(e)) visit(v)
+        e += 1
+      }
+    }
+    size
+  }
+
+  /** Reverse walk over the edges stored for one influencer-index sample,
+    * in the index's world `(seed, s.sampleId)` under `probs`. Returns
+    * true as soon as `target` is reached; with `target = -1` it walks the
+    * whole RR set, which [[visited]] then answers membership for.
+    */
+  def stored(s: RRIndex.Sample, probs: Array[Double], seed: Long, target: Int): Boolean = {
+    start()
+    visit(s.root)
+    if (s.root == target) return true
+    var head = 0
+    while (head < size) {
+      val ins = s.inEdges.getOrElse(nodes(head), null)
+      head += 1
+      if (ins != null) {
+        var i = 0
+        while (i < ins.length) {
+          val (src, e) = ins(i)
+          if (mark(src) != epoch && WorldSampler.u01(seed, s.sampleId, e) < probs(e)) {
+            if (src == target) return true
+            visit(src)
+          }
+          i += 1
+        }
+      }
+    }
+    false
+  }
+
+  /** Depth-first (LIFO) reverse walk from `root` over the full graph in
+    * the world `(seed, sample)` under `pmax`, appending every live edge it
+    * scans to `edges` as `(src, dst, edgeId)`. Returns true (truncated) if
+    * more than `maxNodes` nodes were reached; the walk then stops after
+    * finishing the current node.
+    */
+  def record(
+      g: CompactGraph,
+      pmax: Array[Double],
+      seed: Long,
+      sample: Long,
+      root: Int,
+      maxNodes: Int,
+      edges: mutable.ArrayBuffer[(Int, Int, Int)],
+  ): Boolean = {
+    start()
+    visit(root)
+    var reached = 1
+    var truncated = false
+    while (size > 0 && !truncated) {
+      size -= 1
+      val v = nodes(size)
+      var i = g.inOffsets(v)
+      while (i < g.inOffsets(v + 1)) {
+        val src = g.inSrc(i)
+        val e = g.inEdgeId(i)
+        if (WorldSampler.u01(seed, sample, e) < pmax(e)) {
+          edges += ((src, v, e))
+          if (mark(src) != epoch) {
+            visit(src)
+            reached += 1
+            if (reached > maxNodes) truncated = true
+          }
+        }
+        i += 1
+      }
+    }
+    truncated
+  }
+}

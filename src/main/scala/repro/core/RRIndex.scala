@@ -47,53 +47,14 @@ object RRIndex {
 
     def numSamples: Int = samples.length
 
-    /** Is `u` in the RR set of `s` under mixed probabilities `probs`?
-      * Early-exits as soon as `u` is reached (the paper's pruning).
-      */
-    def inRRSet(s: Sample, probs: Array[Double], u: Int): Boolean = {
-      if (u == s.root) return true
-      val visited = mutable.HashSet(s.root)
-      val stack = mutable.ArrayDeque(s.root)
-      while (stack.nonEmpty) {
-        val v = stack.removeLast()
-        val ins = s.inEdges.getOrElse(v, Array.empty)
-        var i = 0
-        while (i < ins.length) {
-          val (src, e) = ins(i)
-          if (!visited.contains(src) && WorldSampler.u01(seed, s.sampleId, e) < probs(e)) {
-            if (src == u) return true
-            visited += src
-            stack.append(src)
-          }
-          i += 1
-        }
-      }
-      false
-    }
-
-    /** Full RR set of a sample under `probs` (no early exit). */
-    def rrSet(s: Sample, probs: Array[Double]): Set[Int] = {
-      val visited = mutable.HashSet(s.root)
-      val stack = mutable.ArrayDeque(s.root)
-      while (stack.nonEmpty) {
-        val v = stack.removeLast()
-        for ((src, e) <- s.inEdges.getOrElse(v, Array.empty)) {
-          if (!visited.contains(src) && WorldSampler.u01(seed, s.sampleId, e) < probs(e)) {
-            visited += src
-            stack.append(src)
-          }
-        }
-      }
-      visited.toSet
-    }
-
     /** RIS spread estimate for a seed set. */
     def estimateSpread(probs: Array[Double], seeds: Set[Int]): Double = {
+      val walk = new LiveWalk(n)
       var hit = 0
       var i = 0
       while (i < samples.length) {
-        val s = samples(i)
-        if (seeds.exists(u => inRRSet(s, probs, u))) hit += 1
+        walk.stored(samples(i), probs, seed, -1)
+        if (seeds.exists(walk.visited)) hit += 1
         i += 1
       }
       n.toDouble * hit / samples.length
@@ -101,14 +62,17 @@ object RRIndex {
 
     /** RIS spread estimate for a single user over a sample prefix —
       * `restrict` < numSamples is the cheap first stage of the
-      * suggestion engine's two-stage pruning.
+      * suggestion engine's two-stage pruning. Each membership test
+      * exits as soon as `u` is reached (the paper's pruning).
       */
     def estimateUserSpread(probs: Array[Double], u: Int, restrict: Int = Int.MaxValue): Double = {
+      require(restrict > 0, s"restrict must be positive, got $restrict")
       val r = math.min(restrict, samples.length)
+      val walk = new LiveWalk(n)
       var hit = 0
       var i = 0
       while (i < r) {
-        if (inRRSet(samples(i), probs, u)) hit += 1
+        if (walk.stored(samples(i), probs, seed, u)) hit += 1
         i += 1
       }
       n.toDouble * hit / r
@@ -137,29 +101,11 @@ object RRIndex {
       .mapPartitions { js =>
         val graph = bcast.value
         val pmax = graph.maxProbs() // hoisted: once per partition, not per sample
+        val walk = new LiveWalk(graph.n)
         js.map { j =>
           val root = WorldSampler.uniformInt(seed, j, graph.n)
-          val visited = mutable.HashSet(root)
-          val stack = mutable.ArrayDeque(root)
           val edges = mutable.ArrayBuffer.empty[(Int, Int, Int)] // (src, dst, edgeId)
-          var truncated = false
-          while (stack.nonEmpty && !truncated) {
-            val v = stack.removeLast()
-            var i = graph.inOffsets(v)
-            while (i < graph.inOffsets(v + 1)) {
-              val src = graph.inSrc(i)
-              val e = graph.inEdgeId(i)
-              if (WorldSampler.u01(seed, j, e) < pmax(e)) {
-                edges += ((src, v, e))
-                if (!visited.contains(src)) {
-                  visited += src
-                  stack.append(src)
-                  if (visited.size > maxNodesPerSample) truncated = true
-                }
-              }
-              i += 1
-            }
-          }
+          val truncated = walk.record(graph, pmax, seed, j, root, maxNodesPerSample, edges)
           (j, root, edges.toArray, truncated)
         }
       }

@@ -14,39 +14,9 @@ import scala.collection.mutable
   */
 object SpreadEstimator {
 
-  /** BFS reach count of `seeds` in the world `(seed, sample)` where edge
-    * `e` is live iff `u01(seed, sample, e) < probs(e)`.
-    */
-  def reachInWorld(
-      g: CompactGraph,
-      probs: Array[Double],
-      seeds: Seq[Int],
-      seed: Long,
-      sample: Long,
-  ): Int = {
-    val visited = new java.util.BitSet(g.n)
-    var count = 0
-    val stack = mutable.ArrayDeque.empty[Int]
-    seeds.foreach { s =>
-      if (!visited.get(s)) { visited.set(s); count += 1; stack.append(s) }
-    }
-    while (stack.nonEmpty) {
-      val u = stack.removeLast()
-      var e = g.outOffsets(u)
-      val end = g.outOffsets(u + 1)
-      while (e < end) {
-        val v = g.outDst(e)
-        if (!visited.get(v) && WorldSampler.u01(seed, sample, e) < probs(e)) {
-          visited.set(v); count += 1; stack.append(v)
-        }
-        e += 1
-      }
-    }
-    count
-  }
-
-  /** Monte-Carlo spread estimate `σ̂(seeds)` averaged over `numSamples`
-    * worlds. Deterministic in `(seed, numSamples)`.
+  /** Monte-Carlo spread estimate `σ̂(seeds)`: the reach of `seeds` in
+    * each world `(seed, sample)`, `sample < numSamples`, averaged.
+    * Deterministic in `(seed, numSamples)`.
     */
   def mcSpread(
       g: CompactGraph,
@@ -55,9 +25,12 @@ object SpreadEstimator {
       numSamples: Int,
       seed: Long,
   ): Double = {
+    require(numSamples > 0, s"numSamples must be positive, got $numSamples")
+    val walk = new LiveWalk(g.n)
+    val sources = seeds.toArray
     var s = 0L
     var acc = 0L
-    while (s < numSamples) { acc += reachInWorld(g, probs, seeds, seed, s); s += 1 }
+    while (s < numSamples) { acc += walk.forward(g, probs, seed, s, sources, null); s += 1 }
     acc.toDouble / numSamples
   }
 

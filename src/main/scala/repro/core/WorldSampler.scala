@@ -3,7 +3,7 @@ package repro.core
 /** Deterministic per-(run, sample, edge) uniform coins.
   *
   * Every Monte-Carlo component in the engine (spread estimation, RR-set /
-  * influencer-index construction, distributed MC) draws its edge coins
+  * influencer-index construction) draws its edge coins
   * from this hash instead of a stateful RNG. Consequences the system
   * design leans on:
   *
@@ -13,9 +13,8 @@ package repro.core
   *     falls on. This is the substrate for the paper's lazy propagation
   *     sampling — an index built once can be re-evaluated under any γ
   *     without resampling (§II-D).
-  *   - **Driver/executor agreement**: distributed jobs reproduce exactly
-  *     the worlds the driver-side estimator sees, so tests can assert
-  *     bit-equality between the two implementations.
+  *   - **Offline/online agreement**: the distributed index build walks
+  *     exactly the worlds the online walks re-evaluate.
   */
 object WorldSampler {
 

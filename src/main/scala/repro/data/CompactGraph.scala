@@ -1,7 +1,6 @@
 package repro.data
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Compact in-driver CSR representation of a topic-aware social graph.
   *
@@ -9,7 +8,7 @@ import org.apache.spark.sql.functions._
   * building) and an online query engine that must answer in interactive
   * time; the online side operates on this structure, which is built once
   * from the edges DataFrame and broadcast to executors when a distributed
-  * job (RR-index build, distributed MC) needs whole-graph traversal.
+  * job (the RR-index build) needs whole-graph traversal.
   *
   * Node ids must be dense `0 until n`. Each directed edge has a global
   * edge id (its position in the out-CSR) and `Z` per-topic activation
@@ -79,10 +78,10 @@ final class CompactGraph(
 /** Builders between the DataFrame edge representation and [[CompactGraph]]. */
 object CompactGraph {
 
-  /** Driver-side builder from an explicit edge list. Edge ids are
-    * assigned in (src, dst) order — the same deterministic order
-    * [[fromEdges]] uses — so coins keyed by edge id agree no matter which
-    * path built the graph.
+  /** Build the CSR form from an explicit edge list. Edge ids are
+    * assigned in (src, dst) order, independent of the input order (and
+    * of Spark partitioning on the [[fromEdges]] path), so coins keyed by
+    * edge id agree no matter which path built the graph.
     */
   def fromEdgeSeq(n: Int, z: Int, edges: Seq[(Int, Int, Array[Double])]): CompactGraph = {
     require(edges.forall(e => e._3.length == z), "ragged probs arrays")
@@ -122,60 +121,16 @@ object CompactGraph {
 
   /** Build a [[CompactGraph]] from an edges DataFrame with columns
     * `src: long`, `dst: long`, `probs: array<double>` (length Z for every
-    * row). Node count is `max(id)+1` unless given explicitly; ids must be
-    * dense — the generator guarantees this and tests enforce it.
+    * row): the rows are collected and handed to [[fromEdgeSeq]]. Node
+    * count is `max(id)+1` unless given explicitly; ids must be dense —
+    * the generator guarantees this and tests enforce it.
     */
   def fromEdges(edges: DataFrame, numNodes: Int = -1): CompactGraph = {
-    val rows: Array[Row] = edges.select("src", "dst", "probs").collect()
-    require(rows.nonEmpty, "empty edge set")
-    val z = rows(0).getSeq[Double](2).length
-    var maxId = -1L
-    rows.foreach { r =>
-      maxId = math.max(maxId, math.max(r.getLong(0), r.getLong(1)))
-      require(r.getSeq[Double](2).length == z, "ragged probs arrays")
-    }
-    val n = if (numNodes >= 0) numNodes else (maxId + 1).toInt
-    val m = rows.length
-
-    val outDeg = new Array[Int](n)
-    val inDeg = new Array[Int](n)
-    rows.foreach { r => outDeg(r.getLong(0).toInt) += 1; inDeg(r.getLong(1).toInt) += 1 }
-    val outOff = new Array[Int](n + 1)
-    val inOff = new Array[Int](n + 1)
-    var i = 0
-    while (i < n) { outOff(i + 1) = outOff(i) + outDeg(i); inOff(i + 1) = inOff(i) + inDeg(i); i += 1 }
-
-    val outDst = new Array[Int](m)
-    val outProbs = new Array[Double](m * z)
-    val cursor = java.util.Arrays.copyOf(outOff, n)
-    // Sort rows for a deterministic edge-id assignment independent of
-    // Spark partitioning (coins are keyed by edge id).
-    val sorted = rows.sortBy(r => (r.getLong(0), r.getLong(1)))
-    sorted.foreach { r =>
-      val s = r.getLong(0).toInt
-      val e = cursor(s); cursor(s) += 1
-      outDst(e) = r.getLong(1).toInt
-      val ps = r.getSeq[Double](2)
-      var k = 0
-      while (k < z) { outProbs(e * z + k) = ps(k); k += 1 }
-    }
-
-    val inSrc = new Array[Int](m)
-    val inEdgeId = new Array[Int](m)
-    val inCursor = java.util.Arrays.copyOf(inOff, n)
-    var u = 0
-    while (u < n) {
-      var e = outOff(u)
-      while (e < outOff(u + 1)) {
-        val v = outDst(e)
-        val slot = inCursor(v); inCursor(v) += 1
-        inSrc(slot) = u
-        inEdgeId(slot) = e
-        e += 1
-      }
-      u += 1
-    }
-    new CompactGraph(n, z, outOff, outDst, outProbs, inOff, inSrc, inEdgeId)
+    val es = edges.select("src", "dst", "probs").collect().toSeq
+      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt, r.getSeq[Double](2).toArray))
+    require(es.nonEmpty, "empty edge set")
+    val n = if (numNodes >= 0) numNodes else es.iterator.map(e => math.max(e._1, e._2)).max + 1
+    fromEdgeSeq(n, es(0)._3.length, es)
   }
 
   /** Inverse of [[fromEdges]]: emit `(src, dst, edgeId, probs)` rows, used

@@ -135,7 +135,8 @@ object SocialDataGen {
     val prior = Array.fill(z)(1.0 / z)
 
     // --- graph in compact form (edge ids sorted by (src,dst)) ---------
-    val graph = buildGraph(n, z, edgeList, edgeProbs)
+    val graph = CompactGraph.fromEdgeSeq(n, z,
+      edgeList.indices.map(i => (edgeList(i)._1, edgeList(i)._2, edgeProbs(i))))
 
     // --- items + cascade simulation under the ground truth ------------
     // Each item is a pure-topic cascade from a topically-aligned source;
@@ -195,19 +196,6 @@ object SocialDataGen {
 
     SocialDataset(usersDf, edgesDf, itemsDf, actionsDf, vocabDf, graph, phi, prior)
   }
-
-  /** Build the CSR graph directly from driver arrays, delegating to the
-    * deterministic (src, dst)-sorted builder shared with
-    * [[CompactGraph.fromEdges]] — tests assert the two agree.
-    */
-  private def buildGraph(
-      n: Int,
-      z: Int,
-      edgeList: Array[(Int, Int)],
-      probs: Array[Array[Double]],
-  ): CompactGraph =
-    CompactGraph.fromEdgeSeq(n, z,
-      edgeList.indices.map(i => (edgeList(i)._1, edgeList(i)._2, probs(i))))
 
   private def cumulative(p: Array[Double]): Array[Double] = {
     val c = new Array[Double](p.length)

@@ -43,17 +43,6 @@ final case class TopicModel(
   /** Pure-topic distribution e_z — used by per-topic precomputations. */
   def pureTopic(z: Int): Array[Double] = Array.tabulate(numTopics)(t => if (t == z) 1.0 else 0.0)
 
-  /** Keywords ranked by relevance `p(w|z)·γ_z` summed over topics — the
-    * candidate pool the suggestion service enumerates over.
-    */
-  def topKeywordsForGamma(gamma: Array[Double], k: Int): Seq[String] = {
-    vocab.indices
-      .map(w => (w, (0 until numTopics).map(z => gamma(z) * phi(z)(w)).sum))
-      .sortBy(-_._2)
-      .take(k)
-      .map(p => vocab(p._1))
-  }
-
   /** Persist parameters as DataFrames (what a deployment would write). */
   def toDataFrames(spark: SparkSession): (DataFrame, DataFrame, DataFrame) = {
     import spark.implicits._

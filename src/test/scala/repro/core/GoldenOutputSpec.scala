@@ -1,0 +1,88 @@
+package repro.core
+
+import java.lang.Double.doubleToLongBits
+
+import repro.SparkSpec
+import repro.exp.Experiments
+
+/** Pins the deterministic outputs of the live-edge walks on CiteLite
+  * SF 0.01: every possible world is fixed by `(seed, sample, edge)`, so
+  * seeds, evaluation counts and spreads are pure functions of the
+  * configuration. A refactor of a walk must reproduce these values bit
+  * for bit; doubles are compared as raw `doubleToLongBits`.
+  */
+class GoldenOutputSpec extends SparkSpec {
+
+  private lazy val c = Experiments.ctx(spark, sf = 0.01)
+  private lazy val queries = Experiments.keywordQueries(c.model, 2)
+  private val cfg = BestEffortKIM.Config()
+
+  /** (query, k) -> (seeds, spreadEvals, spread bits) of plain CELF, then of
+    * best-effort KIM, then `mcSpread` bits of the CELF seeds on 500 fresh worlds.
+    */
+  private val expectedKim = Map[(Int, Int), ((Seq[Int], Long, Long), (Seq[Int], Long, Long), Long)](
+    (0, 1) -> ((Seq(166), 500L, 4626996849785564037L), (Seq(166), 137L, 4626996849785564037L),
+      4627021901058491286L),
+    (0, 3) -> ((Seq(166, 225, 417), 541L, 4630967054332067840L),
+      (Seq(166, 225, 417), 263L, 4630967054332067840L), 4631015749503038783L),
+    (1, 1) -> ((Seq(169), 500L, 4633125967403438572L), (Seq(169), 153L, 4633125967403438572L),
+      4633031391811263791L),
+    (1, 3) -> ((Seq(169, 170, 360), 631L, 4635036126964141261L),
+      (Seq(169, 170, 360), 428L, 4635036126964141261L), 4634994257561355551L),
+  )
+
+  /** Stored-edge count, and a hash of every sample's root and in-edge
+    * arrays in stored order.
+    */
+  private val expectedStoredEdges = 8929L
+  private val expectedStoredHash = -1883875458
+
+  /** `estimateUserSpread` bits (full, first 60 samples) for the three
+    * highest-out-degree users under each query, then `estimateSpread`
+    * bits of all three under the first query.
+    */
+  private val expectedUsers = Seq[(Int, Long, Long)](
+    (42, 4614688418178968235L, 4620880867666602667L),
+    (58, 4610184818551597739L, 0L),
+    (467, 0L, 0L),
+    (42, 4623695617433709227L, 4625384467293973163L),
+    (58, 4617315517961601024L, 4620880867666602667L),
+    (467, 4632468254207858005L, 4632233691727265792L),
+  )
+  private val expectedSetSpread = 4617315517961601024L
+
+  test("CELF, best-effort KIM and mcSpread reproduce their recorded outputs") {
+    val g = c.model.graph
+    val got = for ((q, qi) <- queries.zipWithIndex; k <- Seq(1, 3)) yield {
+      val gamma = c.model.gammaFor(q)
+      val probs = g.mixedProbs(gamma)
+      val celf = GreedyIM.celf(g, probs, k, cfg.numSamples, cfg.seed)
+      val be = BestEffortKIM.queryGamma(g, c.precomp, gamma, k, cfg)
+      val mc = SpreadEstimator.mcSpread(g, probs, celf.seeds, 500, 99L)
+      (qi, k) -> ((celf.seeds, celf.spreadEvals, doubleToLongBits(celf.spread)),
+        (be.seeds, be.spreadEvals, doubleToLongBits(be.spread)), doubleToLongBits(mc))
+    }
+    assert(got.toMap == expectedKim)
+  }
+
+  test("the RR index stores and estimates its recorded values") {
+    val g = c.model.graph
+    val index = RRIndex.build(spark, g, 300)
+    val stored = index.samples.iterator.map(_.inEdges.valuesIterator.map(_.length.toLong).sum).sum
+    val hash = index.samples.toSeq.map { s =>
+      (s.root, s.truncated, s.inEdges.toSeq.sortBy(_._1).map { case (v, es) => (v, es.toSeq) })
+    }.hashCode
+    val users = GreedyIM.topDegree(g, 3)
+    val got = for (q <- queries; u <- users) yield {
+      val probs = g.mixedProbs(c.model.gammaFor(q))
+      (u, doubleToLongBits(index.estimateUserSpread(probs, u)),
+        doubleToLongBits(index.estimateUserSpread(probs, u, restrict = 60)))
+    }
+    val firstProbs = g.mixedProbs(c.model.gammaFor(queries.head))
+    val set = doubleToLongBits(index.estimateSpread(firstProbs, users.toSet))
+    assert(stored == expectedStoredEdges)
+    assert(hash == expectedStoredHash)
+    assert(got == expectedUsers)
+    assert(set == expectedSetSpread)
+  }
+}

@@ -96,6 +96,15 @@ class GreedyIMSpec extends AnyFunSuite {
     assert(seeded.spreadEvals <= plain.spreadEvals)
   }
 
+  test("CELF rejects a non-positive sample count, also through best-effort KIM") {
+    val g = TestGraphs.random(60, n = 6)
+    val gamma = Array(0.5, 0.5)
+    intercept[IllegalArgumentException] { GreedyIM.celf(g, g.mixedProbs(gamma), 1, 0, 5) }
+    intercept[IllegalArgumentException] {
+      BestEffortKIM.queryGamma(g, Bounds.precomputedUB(g), gamma, 1, BestEffortKIM.Config(numSamples = 0))
+    }
+  }
+
   test("topIndividual returns k distinct users ranked by solo spread") {
     val g = TestGraphs.random(59, n = 10)
     val probs = g.mixedProbs(Array(0.5, 0.5))

@@ -55,26 +55,40 @@ class RRIndexSpec extends SparkSpec {
     }
   }
 
+  private lazy val walk = new LiveWalk(g.n)
+
+  /** The full RR set of `s` under `probs`. */
+  private def rrSet(s: RRIndex.Sample, probs: Array[Double]): Set[Int] = {
+    walk.stored(s, probs, index.seed, -1)
+    (0 until g.n).filter(walk.visited).toSet
+  }
+
   test("the root is always in its own RR set") {
     val probs = g.mixedProbs(Array(0.5, 0.5))
-    index.samples.foreach(s => assert(index.inRRSet(s, probs, s.root)))
+    index.samples.foreach(s => assert(walk.stored(s, probs, index.seed, s.root)))
   }
 
   test("rrSet under gamma is contained in the p^max superset nodes") {
     val probs = g.mixedProbs(Array(0.3, 0.7))
     val pmaxProbs = g.maxProbs()
     index.samples.take(20).foreach { s =>
-      val under = index.rrSet(s, probs)
-      val sup = index.rrSet(s, pmaxProbs)
+      val under = rrSet(s, probs)
+      val sup = rrSet(s, pmaxProbs)
       assert(under.subsetOf(sup))
     }
   }
 
-  test("inRRSet agrees with full rrSet membership") {
+  test("the early-exit walk agrees with full RR-set membership") {
     val probs = g.mixedProbs(Array(0.6, 0.4))
     index.samples.take(30).foreach { s =>
-      val full = index.rrSet(s, probs)
-      (0 until g.n).foreach(u => assert(index.inRRSet(s, probs, u) == full.contains(u)))
+      val full = rrSet(s, probs)
+      (0 until g.n).foreach(u => assert(walk.stored(s, probs, index.seed, u) == full.contains(u)))
+    }
+  }
+
+  test("a non-positive sample prefix is rejected") {
+    intercept[IllegalArgumentException] {
+      index.estimateUserSpread(g.mixedProbs(Array(0.5, 0.5)), 0, restrict = 0)
     }
   }
 

@@ -110,12 +110,20 @@ class SpreadEstimatorSpec extends AnyFunSuite {
     assert(SpreadEstimator.exactSpread(g, probs, Seq(0, 1)) <= 6.0)
   }
 
-  test("mcSpread equals the average of reachInWorld") {
+  test("mcSpread equals the average of the per-world forward walks") {
     val g = TestGraphs.random(18)
     val probs = g.mixedProbs(Array(0.6, 0.4))
     val r = 50
-    val manual = (0 until r).map(s => SpreadEstimator.reachInWorld(g, probs, Seq(2), 9, s)).sum.toDouble / r
+    val walk = new LiveWalk(g.n)
+    val manual = (0 until r).map(s => walk.forward(g, probs, 9, s, Array(2), null)).sum.toDouble / r
     assert(SpreadEstimator.mcSpread(g, probs, Seq(2), r, 9) == manual)
+  }
+
+  test("mcSpread rejects a non-positive sample count") {
+    val g = TestGraphs.chain3(0.5)
+    intercept[IllegalArgumentException] {
+      SpreadEstimator.mcSpread(g, g.mixedProbs(Array(1.0)), Seq(0), 0, 1)
+    }
   }
 
   test("exactSpread refuses graphs too large to enumerate") {

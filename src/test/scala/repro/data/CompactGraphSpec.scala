@@ -58,6 +58,8 @@ class CompactGraphSpec extends SparkSpec {
     val g = CompactGraph.fromEdgeSeq(3, 2, sampleEdges)
     val gamma = Array(0.25, 0.75)
     assert(math.abs(g.mixedProb(0, gamma) - (0.3 * 0.25 + 0.4 * 0.75)) < 1e-12)
+    // a pure topic selects exactly that topic's probabilities
+    assert(g.mixedProbs(Array(0.0, 1.0)).toSeq == (0 until g.numEdges).map(g.topicProb(_, 1)))
   }
 
   test("mixedProbs array agrees with per-edge mixedProb") {
@@ -120,6 +122,9 @@ class CompactGraphSpec extends SparkSpec {
     intercept[IllegalArgumentException] {
       CompactGraph.fromEdgeSeq(2, 1, Seq((0, 5, Array(0.1))))
     }
+    import spark.implicits._
+    val df = Seq((0L, 5L, Seq(0.1))).toDF("src", "dst", "probs")
+    intercept[IllegalArgumentException] { CompactGraph.fromEdges(df, numNodes = 2) }
   }
 
   test("empty edge DataFrame is rejected") {

@@ -63,13 +63,6 @@ class TopicModelSpec extends SparkSpec {
     assert(model.pureTopic(1).toSeq == Seq(0.0, 1.0))
   }
 
-  test("topKeywordsForGamma ranks by relevance") {
-    val top = model.topKeywordsForGamma(Array(1.0, 0.0), 2)
-    assert(top == Seq("apple", "banana"))
-    val top2 = model.topKeywordsForGamma(Array(0.0, 1.0), 1)
-    assert(top2 == Seq("carrot"))
-  }
-
   test("keywordIndex maps every vocab entry") {
     assert(model.keywordIndex.size == 3 && model.keywordIndex("banana") == 1)
   }
