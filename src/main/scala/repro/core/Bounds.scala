@@ -4,7 +4,8 @@ import repro.data.CompactGraph
 
 /** Upper bounds on single-user influence spread — the three estimators
   * of the paper's best-effort framework (§II-C: "precomputation based,
-  * local graph based, and neighborhood based methods").
+  * local graph based, and neighborhood based methods"). The neighborhood
+  * estimator is [[localUB]] with one hop.
   *
   * All bounds here are *sound* with respect to the exact expected spread
   * (property-tested against [[SpreadEstimator.exactSpread]]):
@@ -26,17 +27,11 @@ object Bounds {
     * `UB(u) ← min(UB(u), 1 + Σ p^max_{uv}·UB(v))` starting from the sound
     * `UB ≡ n` — that is, [[localUB]] under `p^max`. Every application
     * preserves soundness and the sequence is non-increasing (so it stays
-    * at most n), hence any finite iteration count yields a valid bound.
+    * at most n), hence any finite iteration count yields a valid bound;
+    * the offline pass runs 50.
     */
-  def precomputedUB(g: CompactGraph, iterations: Int = 50): Array[Double] =
-    localUB(g, g.maxProbs(), Array.fill(g.n)(g.n.toDouble), iterations)
-
-  /** Query-aware one-hop refinement: the first hop uses the actual mixed
-    * probabilities `probs` of the query γ, deeper hops fall back to the
-    * precomputed bound. Never looser than `base`.
-    */
-  def neighborhoodUB(g: CompactGraph, probs: Array[Double], base: Array[Double]): Array[Double] =
-    localUB(g, probs, base, hops = 1)
+  def precomputedUB(g: CompactGraph): Array[Double] =
+    localUB(g, g.maxProbs(), Array.fill(g.n)(g.n.toDouble), 50)
 
   /** Query-aware r-hop refinement ("local graph based"): r rounds of the
     * union-bound operator under the query's own edge probabilities,

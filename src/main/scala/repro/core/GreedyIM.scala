@@ -61,10 +61,9 @@ object GreedyIM {
     IMResult(seeds.toSeq, best, evals, (System.nanoTime() - t0) / 1000000)
   }
 
-  /** CELF lazy greedy, optionally restricted to `candidates` and
-    * optionally starting from externally supplied optimistic bounds
-    * (`initialUpper`) instead of a full first-round evaluation — the
-    * latter is exactly what [[BestEffortKIM]] passes in.
+  /** CELF lazy greedy, optionally starting from externally supplied
+    * optimistic bounds (`initialUpper`) instead of a full first-round
+    * evaluation — exactly what [[BestEffortKIM]] passes in.
     *
     * Marginal gains are computed incrementally: the per-world reached
     * set of the current seeds is cached, and a candidate's marginal BFS
@@ -79,7 +78,6 @@ object GreedyIM {
       k: Int,
       numSamples: Int,
       seed: Long,
-      candidates: Option[Seq[Int]] = None,
       initialUpper: Option[Array[Double]] = None,
   ): IMResult = {
     require(numSamples > 0, s"numSamples must be positive, got $numSamples")
@@ -98,15 +96,14 @@ object GreedyIM {
       acc.toDouble / numSamples
     }
 
-    val cand = candidates.getOrElse(0 until g.n)
     // queue entries: (value, node, roundEvaluated); value is an upper
     // bound unless roundEvaluated == current round.
     val order = Ordering.by[(Double, Int, Int), Double](_._1)
     val pq = mutable.PriorityQueue.empty[(Double, Int, Int)](order)
     initialUpper match {
-      case Some(ub) => cand.foreach(u => pq.enqueue((ub(u), u, -1)))
+      case Some(ub) => (0 until g.n).foreach(u => pq.enqueue((ub(u), u, -1)))
       case None =>
-        cand.foreach { u =>
+        (0 until g.n).foreach { u =>
           evals += 1
           pq.enqueue((marginal(u), u, 0))
         }
@@ -130,10 +127,9 @@ object GreedyIM {
         pq.enqueue((marginal(u), u, round))
       }
     }
-    // Independent final re-estimate of the selected set (identical value
-    // by per-world additivity; kept as a self-check and for reporting).
-    val finalSpread = SpreadEstimator.mcSpread(g, probs, seeds.toSeq, numSamples, seed)
-    IMResult(seeds.toSeq, finalSpread, evals, (System.nanoTime() - t0) / 1000000)
+    // σ̂(S): the per-world reached sets of S, averaged.
+    val total = reached.foldLeft(0L)(_ + _.cardinality)
+    IMResult(seeds.toSeq, total.toDouble / numSamples, evals, (System.nanoTime() - t0) / 1000000)
   }
 
   /** Top-k users by *individual* spread — the ranking Scenario 1 argues

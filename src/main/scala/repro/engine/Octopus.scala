@@ -18,9 +18,13 @@ import repro.topic.{TopicEM, TopicModel}
   *
   * Construction mirrors the paper's offline/online split: everything in
   * [[Octopus.build]] (EM learning, bound precomputation, influencer-index
-  * construction, optional topic-sample seeds) is the offline phase run as
-  * Spark jobs; the service methods answer online from driver-resident
-  * structures.
+  * construction) is the offline phase run as Spark jobs; the service
+  * methods answer online from driver-resident structures. The services
+  * reject an out-of-range user or k, and a keyword list in which no
+  * keyword is known, with an `IllegalArgumentException`.
+  *
+  * @param topicSamples unused; kept so existing callers of this
+  *                     constructor still compile
   */
 final class Octopus(
     val spark: SparkSession,
@@ -37,14 +41,20 @@ final class Octopus(
   /** Offline influencer index (distributed build). */
   lazy val rrIndex: RRIndex.Index = RRIndex.build(spark, model.graph, rrSamples)
 
-  /** Offline topic-sample seed sets (k is fixed at build time). */
-  lazy val topicSampleIndex: TopicSampleKIM.Index =
-    TopicSampleKIM.build(model.graph, precomp, k = 10, numGammas = topicSamples, cfg = kimConfig)
-
   private lazy val nameIndex: Map[String, Int] = userNames.zipWithIndex.toMap
 
   /** Resolve a user by display name (the UI's auto-completion hits this). */
   def userIdOf(name: String): Option[Int] = nameIndex.get(name)
+
+  private def requireUser(u: Int): Unit =
+    require(u >= 0 && u < model.graph.n, s"user $u is not in [0, ${model.graph.n})")
+
+  /** An empty list means the topic prior; otherwise at least one keyword
+    * must be in the vocabulary, or γ would silently be the prior.
+    */
+  private def requireKnown(keywords: Seq[String]): Unit =
+    require(keywords.isEmpty || keywords.exists(model.keywordIndex.contains),
+      s"no known keyword in the query: ${keywords.mkString(", ")}")
 
   /** Scenario 1: seed users with maximum influence spread on the topic
     * the keywords describe. Returns (named seeds, result, derived γ).
@@ -53,13 +63,19 @@ final class Octopus(
       keywords: Seq[String],
       k: Int,
   ): (Seq[String], GreedyIM.IMResult, Array[Double]) = {
+    require(k >= 1 && k <= model.graph.n, s"k must be in [1, ${model.graph.n}], got $k")
+    requireKnown(keywords)
     val (res, gamma) = BestEffortKIM.query(model, precomp, keywords, k, kimConfig)
     (res.seeds.map(userNames), res, gamma)
   }
 
   /** Scenario 2: the k keywords maximizing the target user's influence. */
-  def suggestKeywords(target: Int, k: Int, poolSize: Int = 12): KeywordSuggest.SuggestResult =
+  def suggestKeywords(target: Int, k: Int, poolSize: Int = 12): KeywordSuggest.SuggestResult = {
+    requireUser(target)
+    val pool = math.min(poolSize, model.vocab.length)
+    require(k >= 1 && k <= pool, s"k must be in [1, $pool] (the keyword pool size), got $k")
     KeywordSuggest.suggestWithIndex(model, rrIndex, target, k, poolSize)
+  }
 
   /** Scenario 3: MIA influence paths of a user, on the topic described by
     * `keywords` (empty ⇒ topic prior). `outward=false` gives "who
@@ -71,6 +87,8 @@ final class Octopus(
       theta: Double,
       outward: Boolean = true,
   ): MIA.MiaTree = {
+    requireUser(target)
+    requireKnown(keywords)
     val gamma = model.gammaFor(keywords)
     val probs = model.graph.mixedProbs(gamma)
     if (outward) MIA.mioa(model.graph, probs, target, theta)
@@ -100,7 +118,6 @@ object Octopus {
       numTopics: Int = 4,
       emIterations: Int = 8,
       rrSamples: Int = 300,
-      topicSamples: Int = 20,
       kimConfig: BestEffortKIM.Config = BestEffortKIM.Config(),
   ): Octopus = {
     val model =
@@ -112,6 +129,6 @@ object Octopus {
       .collect()
       .sortBy(_.getLong(0))
       .map(_.getString(1))
-    new Octopus(spark, model, names, rrSamples, topicSamples, kimConfig)
+    new Octopus(spark, model, names, rrSamples, topicSamples = 0, kimConfig)
   }
 }

@@ -90,16 +90,15 @@ object Experiments {
   }
 
   // ------------------------------------------------------------------
-  // T2 — online KIM efficiency: naive / CELF / best-effort / topic-sample
+  // T2 — online KIM efficiency: naive / CELF / best-effort
   // ------------------------------------------------------------------
   final case class T2Row(query: String, k: Int, method: String, millis: Long,
-                         evals: Long, spread: Double, note: String)
+                         evals: Long, spread: Double)
 
   def t2(c: Ctx, ks: Seq[Int] = Seq(1, 5), numQueries: Int = 2, numSamples: Int = 100,
-         runNaive: Boolean = true, sampleQuality: Double = 0.3): (Table, Seq[T2Row]) = {
+         runNaive: Boolean = true): (Table, Seq[T2Row]) = {
     val g = c.model.graph
     val cfg = BestEffortKIM.Config(numSamples = numSamples)
-    val tsIndex = TopicSampleKIM.build(g, c.precomp, k = ks.max, numGammas = 15, cfg = cfg)
     val rows = for {
       q <- keywordQueries(c.model, numQueries)
       k <- ks
@@ -109,24 +108,21 @@ object Experiments {
         val naive =
           if (runNaive) {
             val r = GreedyIM.naiveGreedy(g, probs, k, numSamples, cfg.seed)
-            Seq(T2Row(q.mkString(" "), k, "naive-greedy", r.millis, r.spreadEvals, r.spread, ""))
+            Seq(T2Row(q.mkString(" "), k, "naive-greedy", r.millis, r.spreadEvals, r.spread))
           } else Nil
         val celf = GreedyIM.celf(g, probs, k, numSamples, cfg.seed)
         val be = BestEffortKIM.queryGamma(g, c.precomp, gamma, k, cfg)
-        val ts = TopicSampleKIM.query(g, tsIndex, gamma, k, quality = sampleQuality, cfg = cfg)
         naive ++ Seq(
-          T2Row(q.mkString(" "), k, "celf", celf.millis, celf.spreadEvals, celf.spread, ""),
-          T2Row(q.mkString(" "), k, "best-effort", be.millis, be.spreadEvals, be.spread, ""),
-          T2Row(q.mkString(" "), k, "topic-sample", ts.result.millis, ts.result.spreadEvals,
-            ts.result.spread, if (ts.fromSample) "hit" else "fallback"),
+          T2Row(q.mkString(" "), k, "celf", celf.millis, celf.spreadEvals, celf.spread),
+          T2Row(q.mkString(" "), k, "best-effort", be.millis, be.spreadEvals, be.spread),
         )
       }
     } yield row
     val table = Table(
       "T2 — Online KIM: latency and #spread evaluations per method (§I/§II-C efficiency claim)",
-      Seq("query", "k", "method", "ms", "spread evals", "spread", "note"),
+      Seq("query", "k", "method", "ms", "spread evals", "spread"),
       rows.map(r => Seq(r.query, r.k.toString, r.method, r.millis.toString, r.evals.toString,
-        f"${r.spread}%.1f", r.note)),
+        f"${r.spread}%.1f")),
     )
     (table, rows)
   }

@@ -21,7 +21,8 @@ class BestEffortKIMSpec extends SparkSpec {
     val cfg = BestEffortKIM.Config(numSamples = 150)
     val be = BestEffortKIM.queryGamma(model.graph, precomp, gamma, 3, cfg)
     val celf = GreedyIM.celf(model.graph, probs, 3, 150, cfg.seed)
-    assert(be.spread >= celf.spread * 0.97, s"be=${be.spread} celf=${celf.spread}")
+    assert(be.seeds == celf.seeds, s"be=${be.seeds} celf=${celf.seeds}")
+    assert(be.spread == celf.spread, s"be=${be.spread} celf=${celf.spread}")
   }
 
   test("evaluates far fewer spreads than CELF (the pruning claim)") {

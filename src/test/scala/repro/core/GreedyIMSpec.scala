@@ -71,13 +71,6 @@ class GreedyIMSpec extends AnyFunSuite {
     assert(r.spread == 6.0)
   }
 
-  test("candidate restriction is honored") {
-    val g = TestGraphs.random(56, n = 10)
-    val probs = g.mixedProbs(Array(0.5, 0.5))
-    val r = GreedyIM.celf(g, probs, 2, 100, 5, candidates = Some(Seq(1, 2, 3)))
-    assert(r.seeds.forall(Seq(1, 2, 3).contains))
-  }
-
   test("initialUpper with trivial bound n reproduces plain CELF's choice") {
     val g = TestGraphs.random(57, n = 9)
     val probs = g.mixedProbs(Array(0.5, 0.5))

@@ -87,6 +87,26 @@ class OctopusSpec extends SparkSpec {
     assert(topical.size >= prior.size)
   }
 
+  test("services reject out-of-range users, k and unknown-only keywords") {
+    val n = sys.model.graph.n
+    val kws = Seq(SocialDataGen.keywordName(0, 0))
+    def rejected(call: => Any): IllegalArgumentException = intercept[IllegalArgumentException](call)
+    rejected(sys.suggestKeywords(-1, 2))
+    rejected(sys.suggestKeywords(n, 2))
+    rejected(sys.suggestKeywords(0, 13))
+    rejected(sys.suggestKeywords(0, 0))
+    rejected(sys.influencePaths(n, Seq.empty, theta = 0.05))
+    rejected(sys.influencePaths(-1, Seq.empty, theta = 0.05))
+    rejected(sys.influentialUsers(kws, 0))
+    rejected(sys.influentialUsers(kws, -2))
+    rejected(sys.influentialUsers(kws, n + 1))
+    val e = rejected(sys.influentialUsers(Seq("no_such_kw"), 2))
+    assert(e.getMessage.contains("no_such_kw"))
+    // one known keyword is enough, and an empty list still means the prior
+    assert(sys.influentialUsers(kws :+ "no_such_kw", 2)._2.seeds.size == 2)
+    assert(sys.influencePaths(0, Seq.empty, theta = 0.05).root == 0)
+  }
+
   test("full pipeline with EM-learned model runs end to end") {
     val tiny = repro.SynthData.citeLite(spark, 0.002, seed = 22)
     val sysEm = Octopus.build(spark, tiny, learnEM = true, emIterations = 3,
