@@ -21,7 +21,8 @@ import repro.topic.{TopicEM, TopicModel}
   * construction) is the offline phase run as Spark jobs; the service
   * methods answer online from driver-resident structures. The services
   * reject an out-of-range user or k, and a keyword list in which no
-  * keyword is known, with an `IllegalArgumentException`.
+  * keyword is known, with an `IllegalArgumentException`; so does the
+  * constructor for a sample count below 1, negative hops or a slack below 1.
   *
   * @param topicSamples unused; kept so existing callers of this
   *                     constructor still compile
@@ -34,6 +35,10 @@ final class Octopus(
     topicSamples: Int,
     kimConfig: BestEffortKIM.Config,
 ) {
+  require(rrSamples >= 1, s"rrSamples must be >= 1, got $rrSamples")
+  require(kimConfig.numSamples >= 1, s"numSamples must be >= 1, got ${kimConfig.numSamples}")
+  require(kimConfig.boundHops >= 0, s"boundHops must be >= 0, got ${kimConfig.boundHops}")
+  require(kimConfig.slack >= 1, s"slack must be >= 1 or the bounds are unsound, got ${kimConfig.slack}")
 
   /** Offline precomputed per-user spread upper bounds. */
   lazy val precomp: Array[Double] = Bounds.precomputedUB(model.graph)

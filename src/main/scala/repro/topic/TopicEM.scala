@@ -1,6 +1,6 @@
 package repro.topic
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.data.CompactGraph
 
@@ -13,11 +13,10 @@ import repro.data.CompactGraph
   * p(z), keyword distributions p(w|z), per-edge per-topic activation
   * probabilities pp^z_{u,v}.
   *
-  * The E-step (per-item topic responsibilities) and the M-step sufficient
-  * statistics are Spark DataFrame aggregations over the exploded logs;
-  * parameters themselves (V·Z + E·Z doubles) live on the driver between
-  * iterations, mirroring how MLlib's EM-style learners hold small model
-  * state driver-side while the data-parallel statistics run on executors.
+  * The logs are grouped once into one cached record per item. Each
+  * iteration is one Spark pass: it broadcasts the log-parameters, folds
+  * every item's topic responsibilities (E-step) into per-partition
+  * sufficient statistics, and merges those on the driver for the M-step.
   */
 object TopicEM {
 
@@ -38,6 +37,11 @@ object TopicEM {
 
   /** Run EM.
     *
+    * Statistics are summed in item order and merged in partition order, so
+    * the bits depend on how the item records are split. Adaptive execution
+    * coalesces them into one partition up to its advisory size (64 MB by
+    * default); below that `spark.sql.shuffle.partitions` does not matter.
+    *
     * @param edges    topology with `src`, `dst` (extra columns ignored)
     * @param items    `itemId`, `keywords: array<string>`
     * @param actions  `itemId`, `src`, `dst`, `success`
@@ -53,6 +57,8 @@ object TopicEM {
       iterations: Int = 10,
       seed: Long = 7L,
   ): Result = {
+    require(numTopics >= 1, s"numTopics must be >= 1, got $numTopics")
+    require(iterations >= 1, s"iterations must be >= 1, got $iterations")
     import spark.implicits._
     val z = numTopics
 
@@ -68,117 +74,89 @@ object TopicEM {
     val edgesIdx = edgePairs.zipWithIndex.map { case ((s, d), e) => (s, d, e) }.toSeq
       .toDF("src", "dst", "edgeId")
 
-    // One-time exploded views the iterations re-aggregate.
-    val trials = actions
-      .join(edgesIdx, Seq("src", "dst"))
-      .select($"itemId", $"edgeId", $"success")
-      .cache()
-    val itemKw = items
+    // One cached record per item, ids sorted: (keyword ids, counts, tried
+    // edge ids, outcomes). Items with no known keyword and no trial follow the prior.
+    val kwLog = items
       .select($"itemId", explode($"keywords") as "keyword")
-      .join(vocabDf.select($"keyword", $"keywordId"), Seq("keyword"))
-      .groupBy($"itemId", $"keywordId")
-      .agg(count(lit(1)).cast("double") as "cnt")
+      .join(vocabDf.select($"keyword", $"keywordId".cast("int") as "w"), Seq("keyword"))
+      .groupBy($"itemId")
+      .agg(sort_array(collect_list($"w")) as "kws")
+    val trialLog = actions
+      .join(edgesIdx, Seq("src", "dst"))
+      .groupBy($"itemId")
+      .agg(sort_array(collect_list(struct($"edgeId", $"success"))) as "trials")
+    val logs = items.select($"itemId")
+      .join(kwLog, Seq("itemId"), "left")
+      .join(trialLog, Seq("itemId"), "left")
+      .repartition($"itemId")
+      .sortWithinPartitions($"itemId")
+      .rdd.map { r =>
+        val ws = Option(r.getSeq[Int](1)).getOrElse(Nil)
+        val trials = Option(r.getSeq[Row](2)).getOrElse(Nil).map(t => (t.getInt(0), t.getBoolean(1))).toArray
+        val kw = ws.distinct.toArray
+        (kw, kw.map(w => ws.count(_ == w).toDouble), trials.map(_._1), trials.map(_._2))
+      }
       .cache()
-    trials.count(); itemKw.count()
-    val itemIds: Array[Long] = items.select("itemId").collect().map(_.getLong(0)).sorted
 
     // ---- init (seeded) -------------------------------------------------
     val rnd = new java.util.Random(seed)
     var prior = Array.fill(z)(1.0 / z)
-    var phi = Array.fill(z) {
-      val raw = Array.fill(v)(1.0 + rnd.nextDouble())
-      val s = raw.sum; raw.map(_ / s)
-    }
-    var pp = Array.fill(z, m)(0.05 + 0.1 * rnd.nextDouble())
+    var phi = Array.fill(z)(normalized(Array.fill(v)(1.0 + rnd.nextDouble())))
+    var pp = Array.fill(z * m)(0.05 + 0.1 * rnd.nextDouble()) // pp^t_e at t*m + e
 
-    val logLiks = scala.collection.mutable.ArrayBuffer.empty[Double]
+    // A statistics block, topic-major: [log-lik | prior mass (Z) |
+    // keyword mass (Z·V) | success mass (Z·m) | trial mass (Z·m)].
+    val kwAt = 1 + z
+    val succAt = kwAt + z * v
+    val totAt = succAt + z * m
 
-    for (_ <- 0 until iterations) {
-      // ---- E-step: per-(item, topic) log scores ------------------------
-      val phiDf = (for (t <- 0 until z; w <- 0 until v)
-        yield (t, w.toLong, math.log(math.max(phi(t)(w), 1e-12)))).toDF("topic", "keywordId", "logPhi")
-      val ppDf = (for (t <- 0 until z; e <- 0 until m)
-        yield (t, e, math.log(pp(t)(e)), math.log1p(-pp(t)(e)))).toDF("topic", "edgeId", "logP", "log1mP")
-
-      val kwScore = itemKw
-        .join(phiDf, Seq("keywordId"))
-        .groupBy($"itemId", $"topic")
-        .agg(sum($"cnt" * $"logPhi") as "kwScore")
-      val trScore = trials
-        .join(ppDf, Seq("edgeId"))
-        .groupBy($"itemId", $"topic")
-        .agg(sum(when($"success", $"logP").otherwise($"log1mP")) as "trScore")
-      val scores = kwScore
-        .join(trScore, Seq("itemId", "topic"), "full_outer")
-        .select(
-          $"itemId",
-          $"topic",
-          (coalesce($"kwScore", lit(0.0)) + coalesce($"trScore", lit(0.0))) as "score",
-        )
-        .collect()
-
-      // Driver-side softmax per item (items without any known keyword or
-      // trial simply follow the prior).
-      val byItem = new java.util.HashMap[Long, Array[Double]]()
-      itemIds.foreach(i => byItem.put(i, Array.tabulate(z)(t => math.log(prior(t)))))
-      scores.foreach { r =>
-        val arr = byItem.get(r.getLong(0))
-        if (arr != null) arr(r.getInt(1)) += r.getDouble(2)
-      }
-      var ll = 0.0
-      val resp = scala.collection.mutable.ArrayBuffer.empty[(Long, Int, Double)]
-      itemIds.foreach { i =>
-        val logs = byItem.get(i)
-        val mx = logs.max
-        val exps = logs.map(x => math.exp(x - mx))
-        val s = exps.sum
-        ll += mx + math.log(s)
-        var t = 0
-        while (t < z) { resp += ((i, t, exps(t) / s)); t += 1 }
-      }
-      logLiks += ll
+    val logLiks = (0 until iterations).map { _ =>
+      val params = spark.sparkContext.broadcast((prior.map(math.log),
+        phi.flatMap(_.map(p => math.log(math.max(p, 1e-12)))), pp.map(math.log), pp.map(p => math.log1p(-p))))
+      // ---- E-step: one statistics block per partition -----------------
+      val st = logs.mapPartitions { it =>
+        val (logPrior, logPhi, logP, log1mP) = params.value
+        val b = new Array[Double](totAt + z * m)
+        it.foreach { case (kw, cnt, edge, ok) =>
+          val scores = Array.tabulate(z) { t =>
+            val kwSum = kw.indices.foldLeft(0.0)((a, i) => a + cnt(i) * logPhi(t * v + kw(i)))
+            val trSum = edge.indices.foldLeft(0.0)((a, i) => a + (if (ok(i)) logP else log1mP)(t * m + edge(i)))
+            logPrior(t) + (kwSum + trSum)
+          }
+          val mx = scores.max
+          val exps = scores.map(x => math.exp(x - mx))
+          val s = exps.sum
+          b(0) += mx + math.log(s)
+          for (t <- 0 until z) {
+            val r = exps(t) / s
+            b(1 + t) += r
+            for (i <- kw.indices) b(kwAt + t * v + kw(i)) += r * cnt(i)
+            for (i <- edge.indices) { val k = t * m + edge(i); if (ok(i)) b(succAt + k) += r; b(totAt + k) += r }
+          }
+        }
+        Iterator.single(b)
+      }.collect().transpose.map(_.sum) // blocks merged in partition order
+      params.destroy()
 
       // ---- M-step ------------------------------------------------------
-      val rDf = resp.toSeq.toDF("itemId", "topic", "r")
-
-      val priorNew = new Array[Double](z)
-      resp.foreach { case (_, t, r) => priorNew(t) += r }
-      val priorSum = priorNew.sum
-      prior = priorNew.map(x => math.max(x / priorSum, 1e-6))
-
-      val phiStats = itemKw
-        .join(rDf, Seq("itemId"))
-        .groupBy($"topic", $"keywordId")
-        .agg(sum($"r" * $"cnt") as "w")
-        .collect()
-      val phiNew = Array.fill(z, v)(betaPhi)
-      phiStats.foreach(r => phiNew(r.getInt(0))(r.getLong(1).toInt) += r.getDouble(2))
-      phi = phiNew.map { row => val s = row.sum; row.map(_ / s) }
-
-      val ppStats = trials
-        .join(rDf, Seq("itemId"))
-        .groupBy($"topic", $"edgeId")
-        .agg(sum(when($"success", $"r").otherwise(lit(0.0))) as "succ", sum($"r") as "tot")
-        .collect()
-      val ppNew = Array.fill(z, m)(aEdge / (aEdge + bEdge))
-      ppStats.foreach { r =>
-        val t = r.getInt(0); val e = r.getInt(1)
-        val p = (r.getDouble(2) + aEdge) / (r.getDouble(3) + aEdge + bEdge)
-        ppNew(t)(e) = math.min(maxP, math.max(minP, p))
+      val priorSum = st.slice(1, kwAt).sum
+      prior = Array.tabulate(z)(t => math.max(st(1 + t) / priorSum, 1e-6))
+      phi = Array.tabulate(z)(t => normalized(Array.tabulate(v)(w => betaPhi + st(kwAt + t * v + w))))
+      // With no trials this is exactly aEdge / (aEdge + bEdge).
+      pp = Array.tabulate(z * m) { k =>
+        math.min(maxP, math.max(minP, (st(succAt + k) + aEdge) / (st(totAt + k) + aEdge + bEdge)))
       }
-      pp = ppNew
+      st(0) // the E-step's log-likelihood
     }
+    logs.unpersist()
 
-    trials.unpersist(); itemKw.unpersist()
-
-    // Assemble the learned graph (edge ids already (src,dst)-sorted).
-    val probsByEdge: Seq[(Long, Long, Seq[Double])] = edgePairs.zipWithIndex.map {
-      case ((s, d), e) => (s, d, (0 until z).map(t => pp(t)(e)))
-    }.toSeq
-    val learnedEdges = probsByEdge.toDF("src", "dst", "probs")
-    val graph = CompactGraph.fromEdges(learnedEdges, numNodes)
-    Result(TopicModel(z, vocab, prior, phi, graph), logLiks.toSeq)
+    val graph = CompactGraph.fromEdgeSeq(numNodes, z, edgePairs.indices.map { e =>
+      (edgePairs(e)._1.toInt, edgePairs(e)._2.toInt, Array.tabulate(z)(t => pp(t * m + e)))
+    })
+    Result(TopicModel(z, vocab, prior, phi, graph), logLiks)
   }
+
+  private def normalized(a: Array[Double]): Array[Double] = { val s = a.sum; a.map(_ / s) }
 
   /** Assemble a TopicModel directly from ground-truth generator output —
     * used by tests/benches that exercise the influence engine without

@@ -1,6 +1,7 @@
 package repro.engine
 
 import repro.SparkSpec
+import repro.core.BestEffortKIM
 import repro.data.SocialDataGen
 
 /** End-to-end integration: the three demo scenarios on a small CiteLite
@@ -105,6 +106,16 @@ class OctopusSpec extends SparkSpec {
     // one known keyword is enough, and an empty list still means the prior
     assert(sys.influentialUsers(kws :+ "no_such_kw", 2)._2.seeds.size == 2)
     assert(sys.influencePaths(0, Seq.empty, theta = 0.05).root == 0)
+  }
+
+  test("the constructor rejects sample counts below 1, negative hops and a slack below 1") {
+    def make(rrSamples: Int = 10, cfg: BestEffortKIM.Config = BestEffortKIM.Config()): Octopus =
+      new Octopus(spark, sys.model, sys.userNames, rrSamples, topicSamples = 0, cfg)
+    intercept[IllegalArgumentException](make(rrSamples = 0))
+    intercept[IllegalArgumentException](make(cfg = BestEffortKIM.Config(numSamples = 0)))
+    intercept[IllegalArgumentException](make(cfg = BestEffortKIM.Config(boundHops = -1)))
+    intercept[IllegalArgumentException](make(cfg = BestEffortKIM.Config(slack = 0.99)))
+    make(rrSamples = 1, BestEffortKIM.Config(numSamples = 1, boundHops = 0, slack = 1.0))
   }
 
   test("full pipeline with EM-learned model runs end to end") {

@@ -1,6 +1,8 @@
 package repro.topic
 
-import repro.SparkSpec
+import java.lang.Double.doubleToLongBits
+
+import repro.{SparkSpec, SynthData}
 import repro.data.{SocialConfig, SocialDataGen}
 
 /** EM learning: probabilistic invariants, the likelihood-ascent
@@ -14,6 +16,20 @@ class TopicEMSpec extends SparkSpec {
   private lazy val ds = SocialDataGen.generate(spark, cfg)
   private lazy val learned =
     TopicEM.learn(spark, ds.edges, ds.items, ds.actions, ds.vocab, cfg.numTopics, iterations = 6)
+
+  /** Raw bits of the likelihood trace, prior, φ (row-major) and the
+    * learned per-topic edge probabilities, in that order.
+    */
+  private def bits(r: TopicEM.Result): Seq[Seq[Long]] =
+    (Seq(r.logLikelihood, r.model.prior.toSeq) ++ r.model.phi.map(_.toSeq) :+ r.model.graph.outProbs.toSeq)
+      .map(_.map(doubleToLongBits))
+
+  private def sha256(r: TopicEM.Result): String = {
+    val longs = bits(r).flatten
+    val buf = java.nio.ByteBuffer.allocate(8 * longs.size)
+    longs.foreach(buf.putLong)
+    java.security.MessageDigest.getInstance("SHA-256").digest(buf.array()).map("%02x".format(_)).mkString
+  }
 
   test("log-likelihood is non-decreasing (EM guarantee)") {
     val ll = learned.logLikelihood
@@ -76,8 +92,7 @@ class TopicEMSpec extends SparkSpec {
       TopicEM.learn(spark, ds.edges, ds.items, ds.actions, ds.vocab, cfg.numTopics, iterations = 2)
     val first =
       TopicEM.learn(spark, ds.edges, ds.items, ds.actions, ds.vocab, cfg.numTopics, iterations = 2)
-    assert(again.logLikelihood == first.logLikelihood)
-    assert(again.model.prior.sameElements(first.model.prior))
+    assert(bits(again) == bits(first))
   }
 
   test("a different init seed changes the trajectory") {
@@ -110,6 +125,34 @@ class TopicEMSpec extends SparkSpec {
       val avgSucc = succEdges.map(maxP).sum / succEdges.size
       val avgNone = noTrialEdges.map(maxP).sum / noTrialEdges.length
       assert(avgSucc > avgNone, s"succ=$avgSucc none=$avgNone")
+    }
+  }
+
+  test("learned bits match their recorded values") {
+    // This suite's config, then T6's: CiteLite SF 0.01, Z = 4, 40 keywords.
+    assert(sha256(learned) == "7871d1e06ea90570ce99727d3553d43c4cbc0951b76ae7136f742cea4473fc6c")
+    val t6 = SynthData.citeLite(spark, 0.01, numTopics = 4, vocabSize = 40)
+    assert(sha256(TopicEM.learn(spark, t6.edges, t6.items, t6.actions, t6.vocab, 4, iterations = 6)) ==
+      "27a12a9224ac7966f41056ac22da911e113ec7524b8d65ef9b6e62fc45448f5c")
+  }
+
+  test("the learned model does not depend on spark.sql.shuffle.partitions") {
+    val d = SynthData.citeLite(spark, 0.02)
+    def learnAt(partitions: Int): TopicEM.Result = {
+      val old = spark.conf.get("spark.sql.shuffle.partitions")
+      spark.conf.set("spark.sql.shuffle.partitions", partitions.toString)
+      try TopicEM.learn(spark, d.edges, d.items, d.actions, d.vocab, 4, iterations = 2)
+      finally spark.conf.set("spark.sql.shuffle.partitions", old)
+    }
+    assert(bits(learnAt(1)) == bits(learnAt(16)))
+  }
+
+  test("learn rejects no topics and no iterations") {
+    intercept[IllegalArgumentException] {
+      TopicEM.learn(spark, ds.edges, ds.items, ds.actions, ds.vocab, numTopics = 0)
+    }
+    intercept[IllegalArgumentException] {
+      TopicEM.learn(spark, ds.edges, ds.items, ds.actions, ds.vocab, cfg.numTopics, iterations = 0)
     }
   }
 }
