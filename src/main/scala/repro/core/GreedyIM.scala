@@ -65,12 +65,17 @@ object GreedyIM {
     * optimistic bounds (`initialUpper`) instead of a full first-round
     * evaluation — exactly what [[BestEffortKIM]] passes in.
     *
+    * The `numSamples` worlds are sampled once per call into
+    * [[LiveWorlds]], so every walk scans live edges only and hashes no
+    * coin; they are dropped when the call returns.
+    *
     * Marginal gains are computed incrementally: the per-world reached
     * set of the current seeds is cached, and a candidate's marginal BFS
     * terminates at already-reached nodes (their whole downstream is
     * already covered in that world). The estimates are *bit-identical*
     * to `mcSpread(S ∪ u) − mcSpread(S)` on the same coins — only the
-    * cost changes, from O(|reach(S∪u)|) to O(|new nodes|) per world.
+    * cost changes: an evaluation costs the live out-edges of the new
+    * nodes it reaches in each world, not every out-edge of them.
     */
   def celf(
       g: CompactGraph,
@@ -86,13 +91,14 @@ object GreedyIM {
 
     // per-world reached set of the current seed set S (empty at start)
     val reached = Array.fill(numSamples)(new java.util.BitSet(g.n))
+    val worlds = LiveWorlds.build(g, probs, numSamples, seed)
     val walk = new LiveWalk(g.n)
 
     // Nodes newly reachable from u, per world, stopping at reached nodes.
     def marginal(u: Int): Double = {
       val source = Array(u)
       var s = 0; var acc = 0L
-      while (s < numSamples) { acc += walk.forward(g, probs, seed, s, source, reached(s)); s += 1 }
+      while (s < numSamples) { acc += walk.forward(worlds, s, source, reached(s)); s += 1 }
       acc.toDouble / numSamples
     }
 
@@ -117,7 +123,7 @@ object GreedyIM {
         val source = Array(u)
         var s = 0
         while (s < numSamples) {
-          walk.forward(g, probs, seed, s, source, reached(s))
+          walk.forward(worlds, s, source, reached(s))
           walk.addVisitedTo(reached(s))
           s += 1
         }

@@ -13,6 +13,11 @@ import scala.collection.mutable
   * clears them in O(1)) and an `Int` array that holds the visit order
   * (a queue), or the stack of the edge-recording walk.
   *
+  * A forward walk either hashes the coin of every out-edge it scans (one
+  * estimate over worlds built for it alone), or runs on a world that
+  * [[LiveWorlds]] has already sampled: then it scans live edges only and
+  * hashes no coin (many walks on the same worlds, as in CELF).
+  *
   * One instance belongs to one call (or one Spark partition) and is
   * reused across its walks; it is not thread-safe.
   *
@@ -41,9 +46,20 @@ final class LiveWalk(n: Int) {
     while (i < size) { bits.set(nodes(i)); i += 1 }
   }
 
-  /** Forward walk from `sources` in the world `(seed, sample)`. Nodes in
-    * `stop` (may be null) are neither visited nor walked through: their
-    * downstream is already covered. Returns the number of nodes visited.
+  private def startAt(sources: Array[Int], stop: java.util.BitSet): Unit = {
+    start()
+    var i = 0
+    while (i < sources.length) {
+      val s = sources(i)
+      if (!visited(s) && (stop == null || !stop.get(s))) visit(s)
+      i += 1
+    }
+  }
+
+  /** Forward walk from `sources` in the world `(seed, sample)`, hashing
+    * the coin of every out-edge it scans. Nodes in `stop` (may be null)
+    * are neither visited nor walked through: their downstream is already
+    * covered. Returns the number of nodes visited.
     */
   def forward(
       g: CompactGraph,
@@ -53,13 +69,7 @@ final class LiveWalk(n: Int) {
       sources: Array[Int],
       stop: java.util.BitSet,
   ): Int = {
-    start()
-    var i = 0
-    while (i < sources.length) {
-      val s = sources(i)
-      if (!visited(s) && (stop == null || !stop.get(s))) visit(s)
-      i += 1
-    }
+    startAt(sources, stop)
     var head = 0
     while (head < size) {
       val u = nodes(head); head += 1
@@ -70,6 +80,28 @@ final class LiveWalk(n: Int) {
         if (mark(v) != epoch && (stop == null || !stop.get(v)) &&
             WorldSampler.u01(seed, sample, e) < probs(e)) visit(v)
         e += 1
+      }
+    }
+    size
+  }
+
+  /** The same walk in the materialized world `sample` of `worlds`: it
+    * scans that world's live out-edges only and hashes no coin. Visits
+    * the same nodes as the coin walk in the world `worlds` was built from.
+    */
+  def forward(worlds: LiveWorlds, sample: Int, sources: Array[Int], stop: java.util.BitSet): Int = {
+    startAt(sources, stop)
+    val off = worlds.offsets(sample)
+    val dst = worlds.dst(sample)
+    var head = 0
+    while (head < size) {
+      val u = nodes(head); head += 1
+      var i = off(u)
+      val end = off(u + 1)
+      while (i < end) {
+        val v = dst(i)
+        if (mark(v) != epoch && (stop == null || !stop.get(v))) visit(v)
+        i += 1
       }
     }
     size

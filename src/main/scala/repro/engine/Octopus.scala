@@ -20,9 +20,10 @@ import repro.topic.{TopicEM, TopicModel}
   * [[Octopus.build]] (EM learning, bound precomputation, influencer-index
   * construction) is the offline phase run as Spark jobs; the service
   * methods answer online from driver-resident structures. The services
-  * reject an out-of-range user or k, and a keyword list in which no
-  * keyword is known, with an `IllegalArgumentException`; so does the
-  * constructor for a sample count below 1, negative hops or a slack below 1.
+  * reject an out-of-range user, k or θ (NaN included), and a keyword list
+  * in which no keyword is known, with an `IllegalArgumentException`; so
+  * does the constructor for a sample count below 1, negative hops or a
+  * slack below 1.
   *
   * @param topicSamples unused; kept so existing callers of this
   *                     constructor still compile
@@ -93,6 +94,7 @@ final class Octopus(
       outward: Boolean = true,
   ): MIA.MiaTree = {
     requireUser(target)
+    require(theta > 0.0 && theta <= 1.0, s"theta must be in (0, 1], got $theta")
     requireKnown(keywords)
     val gamma = model.gammaFor(keywords)
     val probs = model.graph.mixedProbs(gamma)

@@ -89,6 +89,25 @@ class GreedyIMSpec extends AnyFunSuite {
     assert(seeded.spreadEvals <= plain.spreadEvals)
   }
 
+  test("concurrent CELF calls return the serial result bit for bit") {
+    val g = TestGraphs.random(61, n = 40, maxEdges = 150)
+    val probs = g.mixedProbs(Array(0.6, 0.4))
+    val ub = Array.fill(g.n)(g.n.toDouble)
+    def run(i: Int): GreedyIM.IMResult =
+      GreedyIM.celf(g, probs, 3, 37, 5, initialUpper = if (i % 2 == 0) None else Some(ub))
+    type Key = (Seq[Int], Long, Long)
+    def key(r: GreedyIM.IMResult): Key = (r.seeds, java.lang.Double.doubleToLongBits(r.spread), r.spreadEvals)
+    val serial = (0 until 2).map(i => key(run(i)))
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val calls = (0 until 8).map { i =>
+        val call: java.util.concurrent.Callable[Key] = () => key(run(i))
+        pool.submit(call)
+      }
+      calls.zipWithIndex.foreach { case (f, i) => assert(f.get() == serial(i % 2), s"call $i") }
+    } finally pool.shutdown()
+  }
+
   test("CELF rejects a non-positive sample count, also through best-effort KIM") {
     val g = TestGraphs.random(60, n = 6)
     val gamma = Array(0.5, 0.5)

@@ -98,6 +98,10 @@ class OctopusSpec extends SparkSpec {
     rejected(sys.suggestKeywords(0, 0))
     rejected(sys.influencePaths(n, Seq.empty, theta = 0.05))
     rejected(sys.influencePaths(-1, Seq.empty, theta = 0.05))
+    for (theta <- Seq(0.0, -0.1, 1.0 + 1e-9, Double.NaN, Double.PositiveInfinity)) {
+      val e = rejected(sys.influencePaths(0, Seq.empty, theta))
+      assert(e.getMessage.contains("theta"), e.getMessage)
+    }
     rejected(sys.influentialUsers(kws, 0))
     rejected(sys.influentialUsers(kws, -2))
     rejected(sys.influentialUsers(kws, n + 1))
@@ -106,6 +110,7 @@ class OctopusSpec extends SparkSpec {
     // one known keyword is enough, and an empty list still means the prior
     assert(sys.influentialUsers(kws :+ "no_such_kw", 2)._2.seeds.size == 2)
     assert(sys.influencePaths(0, Seq.empty, theta = 0.05).root == 0)
+    assert(sys.influencePaths(0, Seq.empty, theta = 1.0).root == 0)
   }
 
   test("the constructor rejects sample counts below 1, negative hops and a slack below 1") {
