@@ -39,6 +39,7 @@ object GreedyIM {
       numSamples: Int,
       seed: Long,
   ): IMResult = {
+    require(k >= 1 && k <= g.n, s"k must be in 1..${g.n}, got $k")
     val t0 = System.nanoTime()
     var evals = 0L
     val seeds = mutable.ArrayBuffer.empty[Int]

@@ -79,6 +79,8 @@ object KeywordSuggest {
       stage1Frac: Double = 0.2,
       keepTop: Int = 8,
   ): SuggestResult = {
+    require(keepTop >= 1, s"keepTop must be at least 1, got $keepTop")
+    require(stage1Frac > 0.0 && stage1Frac <= 1.0, s"stage1Frac must be in (0, 1], got $stage1Frac")
     val t0 = System.nanoTime()
     val g = model.graph
     val pool = candidatePool(model, target, poolSize)
@@ -112,18 +114,8 @@ object KeywordSuggest {
       poolSize: Int = 12,
       numSamples: Int = 200,
       seed: Long = 29L,
-  ): SuggestResult = {
-    val t0 = System.nanoTime()
-    val g = model.graph
-    val pool = candidatePool(model, target, poolSize)
-    val scored = kSubsets(pool, k).toVector.map { w =>
-      val gamma = model.gammaFor(w)
-      val probs = g.mixedProbs(gamma)
-      (w, gamma, SpreadEstimator.mcSpread(g, probs, Seq(target), numSamples, seed))
-    }
-    val winner = scored.maxBy(_._3)
-    SuggestResult(winner._1, winner._2, winner._3, scored.length, (System.nanoTime() - t0) / 1000000)
-  }
+  ): SuggestResult =
+    bestByMC(model, target, kSubsets(candidatePool(model, target, poolSize), k), numSamples, seed)
 
   /** Quality ground truth: exhaustive search over *all* k-subsets of the
     * full vocabulary with a high-precision estimator. Only feasible at
@@ -135,10 +127,23 @@ object KeywordSuggest {
       k: Int,
       numSamples: Int = 500,
       seed: Long = 29L,
+  ): SuggestResult =
+    bestByMC(model, target, kSubsets(model.vocab.toSeq, k), numSamples, seed)
+
+  /** Score every candidate set with a fresh MC estimate and keep the first
+    * best. `sets` is by-name so that `millis` also covers building the
+    * candidates (for [[suggestMC]], the pool).
+    */
+  private def bestByMC(
+      model: TopicModel,
+      target: Int,
+      sets: => Iterator[Seq[String]],
+      numSamples: Int,
+      seed: Long,
   ): SuggestResult = {
     val t0 = System.nanoTime()
     val g = model.graph
-    val scored = kSubsets(model.vocab.toSeq, k).toVector.map { w =>
+    val scored = sets.toVector.map { w =>
       val gamma = model.gammaFor(w)
       val probs = g.mixedProbs(gamma)
       (w, gamma, SpreadEstimator.mcSpread(g, probs, Seq(target), numSamples, seed))

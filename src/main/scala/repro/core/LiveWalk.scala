@@ -136,10 +136,12 @@ final class LiveWalk(n: Int) {
   }
 
   /** Depth-first (LIFO) reverse walk from `root` over the full graph in
-    * the world `(seed, sample)` under `pmax`, appending every live edge it
-    * scans to `edges` as `(src, dst, edgeId)`. Returns true (truncated) if
-    * more than `maxNodes` nodes were reached; the walk then stops after
-    * finishing the current node.
+    * the world `(seed, sample)` under `pmax`, stored as the influencer-index
+    * sample `sample`. Each node is popped once and all its in-edges are
+    * scanned then, so its live in-edges are kept together as
+    * `(src, edgeId)` in in-CSR order. The sample is truncated if more than
+    * `maxNodes` nodes were reached; the walk then stops after finishing the
+    * current node.
     */
   def record(
       g: CompactGraph,
@@ -148,21 +150,23 @@ final class LiveWalk(n: Int) {
       sample: Long,
       root: Int,
       maxNodes: Int,
-      edges: mutable.ArrayBuffer[(Int, Int, Int)],
-  ): Boolean = {
+  ): RRIndex.Sample = {
     start()
     visit(root)
+    val inEdges = Map.newBuilder[Int, Array[(Int, Int)]]
+    val live = mutable.ArrayBuilder.make[(Int, Int)]
     var reached = 1
     var truncated = false
     while (size > 0 && !truncated) {
       size -= 1
       val v = nodes(size)
+      live.clear()
       var i = g.inOffsets(v)
       while (i < g.inOffsets(v + 1)) {
         val src = g.inSrc(i)
         val e = g.inEdgeId(i)
         if (WorldSampler.u01(seed, sample, e) < pmax(e)) {
-          edges += ((src, v, e))
+          live += ((src, e))
           if (mark(src) != epoch) {
             visit(src)
             reached += 1
@@ -171,7 +175,8 @@ final class LiveWalk(n: Int) {
         }
         i += 1
       }
+      if (live.length > 0) inEdges += v -> live.result()
     }
-    truncated
+    RRIndex.Sample(sample, root, inEdges.result(), truncated)
   }
 }

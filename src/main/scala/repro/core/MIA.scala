@@ -17,8 +17,10 @@ import scala.collection.mutable
   * "effect" in the d3js UI), and full paths — is exported as a DataFrame
   * in [[toDataFrame]]; rendering is out of scope (DESIGN.md §2).
   *
-  * Implementation: Dijkstra on weights `−log p_e`, so max-product paths
-  * are min-sum paths; the θ cut makes the search local and interactive.
+  * Implementation: max-product Dijkstra on a max-heap of path
+  * probabilities. Edge probabilities are at most 1, so a path's product
+  * only shrinks as it grows and the first pop of a node settles its best
+  * path; the θ cut makes the search local and interactive.
   */
 object MIA {
 
@@ -59,6 +61,10 @@ object MIA {
   def miia(g: CompactGraph, probs: Array[Double], root: Int, theta: Double): MiaTree =
     dijkstra(g, probs, root, theta, outward = false)
 
+  /** One loop for both directions: MIOA scans out-edges, MIIA scans
+    * in-edges (edge id `inEdgeId(i)`). The per-node state lives in arrays
+    * allocated per call, so concurrent calls share nothing.
+    */
   private def dijkstra(
       g: CompactGraph,
       probs: Array[Double],
@@ -67,52 +73,35 @@ object MIA {
       outward: Boolean,
   ): MiaTree = {
     require(theta > 0.0 && theta <= 1.0, "theta must be in (0, 1]")
-    val bestProb = mutable.HashMap(root -> 1.0)
-    val parent = mutable.HashMap(root -> -1)
-    val depth = mutable.HashMap(root -> 0)
-    val settled = mutable.HashSet.empty[Int]
+    val (offsets, neighbour) = if (outward) (g.outOffsets, g.outDst) else (g.inOffsets, g.inSrc)
+    val bestProb = new Array[Double](g.n)
+    val parent = new Array[Int](g.n)
+    val depth = new Array[Int](g.n)
+    val settled = new Array[Boolean](g.n)
+    bestProb(root) = 1.0
+    parent(root) = -1
     val pq = mutable.PriorityQueue((1.0, root))(Ordering.by(_._1))
     val result = mutable.ArrayBuffer.empty[MiaNode]
     while (pq.nonEmpty) {
       val (p, u) = pq.dequeue()
-      if (!settled.contains(u) && p >= theta) {
-        settled += u
+      if (!settled(u)) {
+        settled(u) = true
         result += MiaNode(u, parent(u), p, depth(u))
-        if (outward) {
-          var e = g.outOffsets(u)
-          while (e < g.outOffsets(u + 1)) {
-            relax(g.outDst(e), u, p * probs(e), bestProb, parent, depth, settled, pq, theta)
-            e += 1
+        var i = offsets(u)
+        while (i < offsets(u + 1)) {
+          val v = neighbour(i)
+          val pv = p * probs(if (outward) i else g.inEdgeId(i))
+          if (!settled(v) && pv >= theta && pv > bestProb(v)) {
+            bestProb(v) = pv
+            parent(v) = u
+            depth(v) = depth(u) + 1
+            pq.enqueue((pv, v))
           }
-        } else {
-          var i = g.inOffsets(u)
-          while (i < g.inOffsets(u + 1)) {
-            relax(g.inSrc(i), u, p * probs(g.inEdgeId(i)), bestProb, parent, depth, settled, pq, theta)
-            i += 1
-          }
+          i += 1
         }
       }
     }
     MiaTree(root, outward, theta, result.toSeq)
-  }
-
-  private def relax(
-      v: Int,
-      u: Int,
-      p: Double,
-      bestProb: mutable.HashMap[Int, Double],
-      parent: mutable.HashMap[Int, Int],
-      depth: mutable.HashMap[Int, Int],
-      settled: mutable.HashSet[Int],
-      pq: mutable.PriorityQueue[(Double, Int)],
-      theta: Double,
-  ): Unit = {
-    if (!settled.contains(v) && p >= theta && p > bestProb.getOrElse(v, 0.0)) {
-      bestProb(v) = p
-      parent(v) = u
-      depth(v) = depth(u) + 1
-      pq.enqueue((p, v))
-    }
   }
 
   /** Export a tree as the DataFrame the UI layer would render:

@@ -3,8 +3,6 @@ package repro.core
 import org.apache.spark.sql.SparkSession
 import repro.data.CompactGraph
 
-import scala.collection.mutable
-
 /** The "influencer index" behind personalized influential keyword
   * suggestion (paper §II-D): "a novel index structure that maintains
   * influencers of uniformly sampled users to avoid online sampling from
@@ -81,8 +79,8 @@ object RRIndex {
 
   /** Build the index as a distributed job: sample ids are partitioned
     * across executors, each walks the broadcast graph reverse-wise under
-    * `p^max` with deterministic coins, and the driver assembles the
-    * (small) per-sample subgraphs.
+    * `p^max` with deterministic coins and returns its (small) samples,
+    * which the driver collects in sample-id order.
     *
     * @param maxNodesPerSample safety valve against a supercritical
     *        `p^max` graph; truncated samples are flagged and counted by
@@ -96,25 +94,17 @@ object RRIndex {
       maxNodesPerSample: Int = 20000,
   ): Index = {
     val bcast = spark.sparkContext.broadcast(g)
-    val collected = spark.sparkContext
+    val samples = spark.sparkContext
       .parallelize(0L until numSamples.toLong, math.min(numSamples, 64))
       .mapPartitions { js =>
         val graph = bcast.value
         val pmax = graph.maxProbs() // hoisted: once per partition, not per sample
         val walk = new LiveWalk(graph.n)
         js.map { j =>
-          val root = WorldSampler.uniformInt(seed, j, graph.n)
-          val edges = mutable.ArrayBuffer.empty[(Int, Int, Int)] // (src, dst, edgeId)
-          val truncated = walk.record(graph, pmax, seed, j, root, maxNodesPerSample, edges)
-          (j, root, edges.toArray, truncated)
+          walk.record(graph, pmax, seed, j, WorldSampler.uniformInt(seed, j, graph.n), maxNodesPerSample)
         }
       }
       .collect()
-
-    val samples = collected.sortBy(_._1).map { case (j, root, edges, trunc) =>
-      val byDst = edges.groupBy(_._2).map { case (dst, es) => dst -> es.map(t => (t._1, t._3)) }
-      Sample(j, root, byDst, trunc)
-    }
     bcast.destroy()
     new Index(samples, g.n, seed)
   }

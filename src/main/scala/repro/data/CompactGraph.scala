@@ -7,8 +7,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * OCTOPUS splits work into offline Spark jobs (model learning, index
   * building) and an online query engine that must answer in interactive
   * time; the online side operates on this structure, which is built once
-  * from the edges DataFrame and broadcast to executors when a distributed
-  * job (the RR-index build) needs whole-graph traversal.
+  * from an edge list ([[CompactGraph.fromEdgeSeq]]: by the generator for
+  * the ground truth, by EM for the learned model) and broadcast to
+  * executors when a distributed job (the RR-index build) needs
+  * whole-graph traversal.
   *
   * Node ids must be dense `0 until n`. Each directed edge has a global
   * edge id (its position in the out-CSR) and `Z` per-topic activation
@@ -75,13 +77,13 @@ final class CompactGraph(
   }
 }
 
-/** Builders between the DataFrame edge representation and [[CompactGraph]]. */
+/** Building a [[CompactGraph]] from an edge list, and emitting it as a DataFrame. */
 object CompactGraph {
 
   /** Build the CSR form from an explicit edge list. Edge ids are
-    * assigned in (src, dst) order, independent of the input order (and
-    * of Spark partitioning on the [[fromEdges]] path), so coins keyed by
-    * edge id agree no matter which path built the graph.
+    * assigned in (src, dst) order, independent of the input order (and so
+    * of how Spark partitioned the rows it was collected from), so coins
+    * keyed by edge id agree no matter how the list was assembled.
     */
   def fromEdgeSeq(n: Int, z: Int, edges: Seq[(Int, Int, Array[Double])]): CompactGraph = {
     require(edges.forall(e => e._3.length == z), "ragged probs arrays")
@@ -119,22 +121,8 @@ object CompactGraph {
     new CompactGraph(n, z, outOff, outDst, outProbs, inOff, inSrc, inEdgeId)
   }
 
-  /** Build a [[CompactGraph]] from an edges DataFrame with columns
-    * `src: long`, `dst: long`, `probs: array<double>` (length Z for every
-    * row): the rows are collected and handed to [[fromEdgeSeq]]. Node
-    * count is `max(id)+1` unless given explicitly; ids must be dense —
-    * the generator guarantees this and tests enforce it.
-    */
-  def fromEdges(edges: DataFrame, numNodes: Int = -1): CompactGraph = {
-    val es = edges.select("src", "dst", "probs").collect().toSeq
-      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt, r.getSeq[Double](2).toArray))
-    require(es.nonEmpty, "empty edge set")
-    val n = if (numNodes >= 0) numNodes else es.iterator.map(e => math.max(e._1, e._2)).max + 1
-    fromEdgeSeq(n, es(0)._3.length, es)
-  }
-
-  /** Inverse of [[fromEdges]]: emit `(src, dst, edgeId, probs)` rows, used
-    * by jobs that persist a graph or feed it back into DataFrame pipelines.
+  /** Emit `(src, dst, edgeId, probs)` rows, used by jobs that persist a
+    * graph or feed it back into DataFrame pipelines.
     */
   def toEdges(spark: SparkSession, g: CompactGraph): DataFrame = {
     val rows = (0 until g.n).flatMap { u =>

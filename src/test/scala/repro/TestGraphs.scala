@@ -1,5 +1,6 @@
 package repro
 
+import org.apache.spark.sql.DataFrame
 import repro.data.CompactGraph
 
 /** Handcrafted and random tiny graphs shared across test suites.
@@ -13,6 +14,13 @@ object TestGraphs {
   /** Single-topic graph from an edge list with per-edge probability. */
   def single(n: Int, edges: (Int, Int, Double)*): CompactGraph =
     CompactGraph.fromEdgeSeq(n, 1, edges.map { case (s, d, p) => (s, d, Array(p)) })
+
+  /** The graph of `n` nodes and `z` topics whose edges are the collected
+    * `src`, `dst`, `probs` rows of an edges DataFrame.
+    */
+  def fromRows(edges: DataFrame, n: Int, z: Int): CompactGraph =
+    CompactGraph.fromEdgeSeq(n, z, edges.select("src", "dst", "probs").collect().toSeq
+      .map(r => (r.getLong(0).toInt, r.getLong(1).toInt, r.getSeq[Double](2).toArray)))
 
   /** Multi-topic graph from an edge list with per-edge prob vectors. */
   def multi(n: Int, z: Int, edges: (Int, Int, Seq[Double])*): CompactGraph =

@@ -5,11 +5,12 @@ import java.lang.Double.doubleToLongBits
 import repro.SparkSpec
 import repro.exp.Experiments
 
-/** Pins the deterministic outputs of the live-edge walks on CiteLite
-  * SF 0.01: every possible world is fixed by `(seed, sample, edge)`, so
-  * seeds, evaluation counts and spreads are pure functions of the
-  * configuration. A refactor of a walk must reproduce these values bit
-  * for bit; doubles are compared as raw `doubleToLongBits`.
+/** Pins the deterministic outputs of the live-edge walks and of MIA on
+  * CiteLite SF 0.01: every possible world is fixed by `(seed, sample,
+  * edge)`, so seeds, evaluation counts and spreads are pure functions of
+  * the configuration, and MIA trees are pure functions of the mixed
+  * probabilities. A refactor must reproduce these values bit for bit;
+  * doubles are compared as raw `doubleToLongBits`.
   */
 class GoldenOutputSpec extends SparkSpec {
 
@@ -51,6 +52,20 @@ class GoldenOutputSpec extends SparkSpec {
   )
   private val expectedSetSpread = 4617315517961601024L
 
+  /** MIA trees of the three highest-out-degree users, under the topic
+    * prior and then under the first query, for θ ∈ {0.01, 0.001} and both
+    * directions: (size, hash of `(node, parent, prob bits, depth)` in
+    * `nodes` order). The node order is the max-heap's settle order.
+    */
+  private val expectedMia = Seq[(Int, Int)](
+    (65, -1942045414), (10, -1775418879), (284, -1640513498), (59, -736538200),
+    (48, -2022832065), (7, -118036444), (234, -1868465466), (48, 25152418),
+    (44, 1182533329), (11, 1119168759), (216, -958348744), (82, 1866825307),
+    (81, -1599862764), (10, -815534229), (164, -1050327321), (11, -1790356922),
+    (54, 1853296384), (7, -2086867613), (129, 494003635), (8, 1524007215),
+    (51, -1732049886), (11, -634093640), (112, 565966991), (13, 649832848),
+  )
+
   test("CELF, best-effort KIM and mcSpread reproduce their recorded outputs") {
     val g = c.model.graph
     val got = for ((q, qi) <- queries.zipWithIndex; k <- Seq(1, 3)) yield {
@@ -84,5 +99,20 @@ class GoldenOutputSpec extends SparkSpec {
     assert(hash == expectedStoredHash)
     assert(got == expectedUsers)
     assert(set == expectedSetSpread)
+  }
+
+  test("MIA reproduces its recorded trees in settle order") {
+    val g = c.model.graph
+    val got = for {
+      gamma <- Seq(c.model.prior, c.model.gammaFor(queries.head))
+      probs = g.mixedProbs(gamma)
+      u <- GreedyIM.topDegree(g, 3)
+      theta <- Seq(0.01, 0.001)
+      outward <- Seq(true, false)
+    } yield {
+      val t = if (outward) MIA.mioa(g, probs, u, theta) else MIA.miia(g, probs, u, theta)
+      (t.size, t.nodes.map(n => (n.node, n.parent, doubleToLongBits(n.prob), n.depth)).hashCode)
+    }
+    assert(got == expectedMia, got.mkString(", "))
   }
 }

@@ -71,6 +71,15 @@ class GreedyIMSpec extends AnyFunSuite {
     assert(r.spread == 6.0)
   }
 
+  test("naive greedy rejects k outside 1..n") {
+    val g = TestGraphs.random(56, n = 5)
+    val probs = g.mixedProbs(Array(0.5, 0.5))
+    intercept[IllegalArgumentException] { GreedyIM.naiveGreedy(g, probs, 6, 20, 5) }
+    intercept[IllegalArgumentException] { GreedyIM.naiveGreedy(g, probs, 0, 20, 5) }
+    val all = GreedyIM.naiveGreedy(g, probs, 5, 20, 5)
+    assert(all.seeds.sorted == (0 until 5) && all.spread == 5.0)
+  }
+
   test("initialUpper with trivial bound n reproduces plain CELF's choice") {
     val g = TestGraphs.random(57, n = 9)
     val probs = g.mixedProbs(Array(0.5, 0.5))

@@ -98,6 +98,15 @@ class KeywordSuggestSpec extends SparkSpec {
     assert(r1.keywords == r2.keywords)
   }
 
+  test("suggestWithIndex rejects keepTop < 1 and stage1Frac outside (0, 1]") {
+    intercept[IllegalArgumentException] {
+      KeywordSuggest.suggestWithIndex(model, index, hub, 2, poolSize = 6, keepTop = 0)
+    }
+    for (frac <- Seq(0.0, -0.5, 1.5)) intercept[IllegalArgumentException] {
+      KeywordSuggest.suggestWithIndex(model, index, hub, 2, poolSize = 6, stage1Frac = frac)
+    }
+  }
+
   test("estimated spread is at least 1 (the target itself)") {
     val r = KeywordSuggest.suggestWithIndex(model, index, hub, 1, poolSize = 4)
     assert(r.estSpread >= 0.0)

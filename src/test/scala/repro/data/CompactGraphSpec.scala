@@ -2,7 +2,7 @@ package repro.data
 
 import repro.{SparkSpec, TestGraphs}
 
-/** CSR construction, edge-id determinism, and DataFrame round-trips. */
+/** CSR construction, edge-id determinism, and the DataFrame round trip. */
 class CompactGraphSpec extends SparkSpec {
 
   private def sampleEdges: Seq[(Int, Int, Array[Double])] = Seq(
@@ -83,32 +83,16 @@ class CompactGraphSpec extends SparkSpec {
     }
   }
 
-  test("fromEdges(DataFrame) equals fromEdgeSeq on the same edges") {
-    import spark.implicits._
-    val df = sampleEdges.map { case (s, d, p) => (s.toLong, d.toLong, p.toSeq) }
-      .toDF("src", "dst", "probs")
-    val g1 = CompactGraph.fromEdges(df)
-    val g2 = CompactGraph.fromEdgeSeq(3, 2, sampleEdges)
-    assert(g1.outOffsets.sameElements(g2.outOffsets))
-    assert(g1.outDst.sameElements(g2.outDst))
-    assert(g1.outProbs.sameElements(g2.outProbs))
-    assert(g1.inOffsets.sameElements(g2.inOffsets))
-    assert(g1.inSrc.sameElements(g2.inSrc))
-    assert(g1.inEdgeId.sameElements(g2.inEdgeId))
-  }
-
-  test("toEdges/fromEdges round trip") {
+  test("toEdges round-trips through fromEdgeSeq") {
     val g = TestGraphs.random(4, n = 8, z = 2)
-    val g2 = CompactGraph.fromEdges(CompactGraph.toEdges(spark, g), g.n)
+    val g2 = TestGraphs.fromRows(CompactGraph.toEdges(spark, g), g.n, g.numTopics)
     assert(g2.outOffsets.sameElements(g.outOffsets))
     assert(g2.outDst.sameElements(g.outDst))
     assert(g2.outProbs.sameElements(g.outProbs))
   }
 
   test("explicit numNodes keeps trailing isolated nodes") {
-    import spark.implicits._
-    val df = Seq((0L, 1L, Seq(0.5))).toDF("src", "dst", "probs")
-    val g = CompactGraph.fromEdges(df, numNodes = 5)
+    val g = CompactGraph.fromEdgeSeq(5, 1, Seq((0, 1, Array(0.5))))
     assert(g.n == 5 && g.outDegree(4) == 0 && g.inDegree(4) == 0)
   }
 
@@ -122,15 +106,6 @@ class CompactGraphSpec extends SparkSpec {
     intercept[IllegalArgumentException] {
       CompactGraph.fromEdgeSeq(2, 1, Seq((0, 5, Array(0.1))))
     }
-    import spark.implicits._
-    val df = Seq((0L, 5L, Seq(0.1))).toDF("src", "dst", "probs")
-    intercept[IllegalArgumentException] { CompactGraph.fromEdges(df, numNodes = 2) }
-  }
-
-  test("empty edge DataFrame is rejected") {
-    import spark.implicits._
-    val df = Seq.empty[(Long, Long, Seq[Double])].toDF("src", "dst", "probs")
-    intercept[IllegalArgumentException] { CompactGraph.fromEdges(df) }
   }
 
   test("toEdges emits one row per edge with matching edgeId") {

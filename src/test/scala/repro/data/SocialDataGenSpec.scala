@@ -1,7 +1,7 @@
 package repro.data
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec}
+import repro.{Oracle, SparkSpec, TestGraphs}
 
 /** Generator invariants: schema, determinism, skew/homophily shape, and
   * consistency between the DataFrames and the ground-truth model.
@@ -44,7 +44,7 @@ class SocialDataGenSpec extends SparkSpec {
   }
 
   test("truthGraph agrees with the edges DataFrame") {
-    val g2 = CompactGraph.fromEdges(ds.edges, cfg.numUsers)
+    val g2 = TestGraphs.fromRows(ds.edges, cfg.numUsers, cfg.numTopics)
     val g1 = ds.truthGraph
     assert(g1.outOffsets.sameElements(g2.outOffsets))
     assert(g1.outDst.sameElements(g2.outDst))
