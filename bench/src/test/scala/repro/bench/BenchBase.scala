@@ -3,23 +3,16 @@ package repro.bench
 import repro.SparkSpec
 import repro.exp.Experiments
 
-/** Shared context for the table benchmarks. Scales are chosen so the
-  * whole bench run finishes in minutes on a laptop-class machine while
-  * still being 10–40× larger than the unit-test graphs; EXPERIMENTS.md
-  * records the rows these suites print.
+/** Shared context for the table benchmarks. Each table runs on the
+  * network [[Experiments.networks]] gives it; those scales keep the whole
+  * bench run to minutes on a laptop-class machine while being 10–40×
+  * larger than the unit-test graphs. EXPERIMENTS.md records the rows
+  * these suites print.
   */
 trait BenchBase extends SparkSpec {
 
-  /** SF=0.05 ⇒ ~2.5k users, ~20k edges — the KIM/suggestion workload. */
-  lazy val benchCtx: Experiments.Ctx = BenchBase.benchCtx(this)
-
-  /** SF=0.01, small vocab — workloads needing exhaustive ground truth. */
-  lazy val smallCtx: Experiments.Ctx = BenchBase.smallCtx(this)
-
-  /** SF=0.05 on the dense reciprocal FriendLite (QQ stand-in) — the
-    * workload where influence overlap, and hence seed diversity, matters.
-    */
-  lazy val friendCtx: Experiments.Ctx = BenchBase.friendCtx(this)
+  /** The context of table `id` ("T1".."T6"). */
+  def ctx(id: String): Experiments.Ctx = BenchBase.ctx(this, Experiments.networks(id))
 
   def printTable(t: Experiments.Table): Unit = {
     println()
@@ -29,23 +22,11 @@ trait BenchBase extends SparkSpec {
 }
 
 object BenchBase {
-  // Contexts are shared across bench suites within the single forked JVM.
-  private var bench: Experiments.Ctx = _
-  private var small: Experiments.Ctx = _
-  private var friend: Experiments.Ctx = _
+  // Contexts are shared across bench suites within the single forked JVM,
+  // one per network (T2/T4 and T3/T6 share theirs).
+  private val contexts = scala.collection.mutable.Map.empty[Experiments.Network, Experiments.Ctx]
 
-  def benchCtx(b: BenchBase): Experiments.Ctx = synchronized {
-    if (bench == null) bench = Experiments.ctx(b.spark, sf = 0.05)
-    bench
-  }
-
-  def smallCtx(b: BenchBase): Experiments.Ctx = synchronized {
-    if (small == null) small = Experiments.ctx(b.spark, sf = 0.01, vocabSize = 40)
-    small
-  }
-
-  def friendCtx(b: BenchBase): Experiments.Ctx = synchronized {
-    if (friend == null) friend = Experiments.ctx(b.spark, sf = 0.05, friend = true)
-    friend
+  def ctx(b: BenchBase, net: Experiments.Network): Experiments.Ctx = synchronized {
+    contexts.getOrElseUpdate(net, Experiments.ctx(b.spark, net))
   }
 }

@@ -12,7 +12,7 @@ class T1DiversityBench extends BenchBase {
   test("T1: KIM finds diverse seeds with higher combined spread") {
     // Dense reciprocal network (the QQ stand-in): individual top-k picks
     // redundantly from the same saturated communities, greedy IM doesn't.
-    val (table, rows) = Experiments.t1(friendCtx, k = 5, numSamples = 200, evalSamples = 1000)
+    val (table, rows) = Experiments.t1(ctx("T1"))
     printTable(table)
 
     val avgOverlap = rows.map(_.overlap).sum / rows.size

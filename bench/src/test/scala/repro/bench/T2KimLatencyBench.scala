@@ -10,7 +10,7 @@ import repro.exp.Experiments
 class T2KimLatencyBench extends BenchBase {
 
   test("T2: best-effort prunes most spread evaluations at equal quality") {
-    val (table, rows) = Experiments.t2(benchCtx, ks = Seq(1, 5), numQueries = 2, numSamples = 100)
+    val (table, rows) = Experiments.t2(ctx("T2"))
     printTable(table)
 
     val grouped = rows.groupBy(r => (r.query, r.k))

@@ -10,9 +10,7 @@ import repro.exp.Experiments
 class T3SuggestQualityBench extends BenchBase {
 
   test("T3: suggestions reach ≥75% of the exhaustive optimum's spread") {
-    val g = smallCtx.model.graph
-    val targets = (0 until g.n).sortBy(u => -g.outDegree(u)).take(3)
-    val (table, rows) = Experiments.t3(smallCtx, targets, ks = Seq(1, 2), rrSamples = 500)
+    val (table, rows) = Experiments.t3(ctx("T3"))
     printTable(table)
 
     val avgRatio = rows.map(_.ratio).sum / rows.size

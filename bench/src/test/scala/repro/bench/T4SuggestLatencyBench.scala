@@ -10,10 +10,7 @@ import repro.exp.Experiments
 class T4SuggestLatencyBench extends BenchBase {
 
   test("T4: influencer index beats fresh-MC enumeration") {
-    val g = benchCtx.model.graph
-    val targets = (0 until g.n).sortBy(u => -g.outDegree(u)).take(4)
-    val (table, rows, buildMs) =
-      Experiments.t4(benchCtx, targets, k = 2, poolSize = 10, rrSamples = 300, mcSamples = 200)
+    val (table, rows, buildMs) = Experiments.t4(ctx("T4"))
     printTable(table)
     println(s"(one-time influencer index build: ${buildMs} ms, amortized over all queries)")
 

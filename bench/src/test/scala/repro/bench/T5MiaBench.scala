@@ -9,8 +9,7 @@ import repro.exp.Experiments
 class T5MiaBench extends BenchBase {
 
   test("T5: MIA trees are interactive and theta-controlled") {
-    val c = Experiments.ctx(spark, sf = 0.1)
-    val (table, rows) = Experiments.t5(c, thetas = Seq(0.1, 0.05, 0.01, 0.001), evalSamples = 2000)
+    val (table, rows) = Experiments.t5(ctx("T5"))
     printTable(table)
 
     // shape: tree size and MIA spread grow as theta shrinks

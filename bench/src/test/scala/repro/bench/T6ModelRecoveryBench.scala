@@ -10,11 +10,12 @@ import repro.exp.Experiments
 class T6ModelRecoveryBench extends BenchBase {
 
   test("T6: EM recovers the generating topic-aware IC model") {
-    val (table, r) = Experiments.t6(smallCtx, iterations = 6)
+    val c = ctx("T6")
+    val (table, r) = Experiments.t6(c)
     printTable(table)
 
     assert(r.logLik.sliding(2).forall(p => p(1) >= p(0) - 1e-6), s"descent in ${r.logLik}")
-    val z = smallCtx.model.numTopics
+    val z = c.model.numTopics
     assert(r.keywordAlignment >= 0.5, s"alignment ${r.keywordAlignment} (chance ${1.0 / z})")
     assert(r.edgeMae <= 0.15, s"edge MAE ${r.edgeMae}")
     assert(r.mapping.sorted == (0 until z))

@@ -1,7 +1,6 @@
 package repro.core
 
 import repro.data.CompactGraph
-import repro.topic.TopicModel
 
 /** Keyword-based influence maximization, online best-effort framework
   * (paper §II-C).
@@ -41,23 +40,10 @@ object BestEffortKIM {
       seed: Long = 11L,
   )
 
-  /** Answer one keyword query: top-k seed users for the topic that the
-    * keywords describe. Returns the CELF result (with eval counts) plus
-    * the derived γ for display.
+  /** Answer one query: top-k seed users for the topic distribution γ
+    * (step 1, deriving γ from the keywords, is the caller's
+    * `TopicModel.gammaFor`).
     */
-  def query(
-      model: TopicModel,
-      precomp: Array[Double],
-      keywords: Seq[String],
-      k: Int,
-      cfg: Config = Config(),
-  ): (GreedyIM.IMResult, Array[Double]) = {
-    val gamma = model.gammaFor(keywords)
-    val res = queryGamma(model.graph, precomp, gamma, k, cfg)
-    (res, gamma)
-  }
-
-  /** Same, for an already-derived topic distribution. */
   def queryGamma(
       g: CompactGraph,
       precomp: Array[Double],

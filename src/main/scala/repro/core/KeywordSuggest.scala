@@ -66,9 +66,12 @@ object KeywordSuggest {
   def kSubsets(pool: Seq[String], k: Int): Iterator[Seq[String]] =
     pool.combinations(k)
 
+  private val Stage1Frac = 0.2
+  private val KeepTop = 8
+
   /** Index-based suggestion with two-stage pruning: score every candidate
-    * set on a `stage1Frac` prefix of the index samples, keep the best
-    * `keepTop`, then re-score only those on the full index.
+    * set on a `Stage1Frac` prefix of the index samples, keep the best
+    * `KeepTop`, then re-score only those on the full index.
     */
   def suggestWithIndex(
       model: TopicModel,
@@ -76,16 +79,12 @@ object KeywordSuggest {
       target: Int,
       k: Int,
       poolSize: Int = 12,
-      stage1Frac: Double = 0.2,
-      keepTop: Int = 8,
   ): SuggestResult = {
-    require(keepTop >= 1, s"keepTop must be at least 1, got $keepTop")
-    require(stage1Frac > 0.0 && stage1Frac <= 1.0, s"stage1Frac must be in (0, 1], got $stage1Frac")
     val t0 = System.nanoTime()
     val g = model.graph
     val pool = candidatePool(model, target, poolSize)
     val sets = kSubsets(pool, k).toVector
-    val stage1 = math.max(1, (index.numSamples * stage1Frac).toInt)
+    val stage1 = math.max(1, (index.numSamples * Stage1Frac).toInt)
     val screened = sets
       .map { w =>
         val gamma = model.gammaFor(w)
@@ -93,7 +92,7 @@ object KeywordSuggest {
         (w, gamma, index.estimateUserSpread(probs, target, restrict = stage1))
       }
       .sortBy(-_._3)
-      .take(keepTop)
+      .take(KeepTop)
     val winner = screened
       .map { case (w, gamma, _) =>
         val probs = g.mixedProbs(gamma)

@@ -21,8 +21,9 @@ import repro.data.CompactGraph
   * reaches them, and membership tests exit early once the target is
   * found).
   *
-  * Standard RIS identity: `σ_γ(S) = n · E[ 1{S ∩ RR_γ} ≠ ∅ ]` — the
-  * estimator is unbiased, which tests check against exact spreads.
+  * Standard RIS identity, for the single users suggestion scores:
+  * `σ_γ({u}) = n · Pr[ u ∈ RR_γ ]` — the estimator is unbiased, which
+  * tests check against exact spreads.
   */
 object RRIndex {
 
@@ -44,19 +45,6 @@ object RRIndex {
   ) extends Serializable {
 
     def numSamples: Int = samples.length
-
-    /** RIS spread estimate for a seed set. */
-    def estimateSpread(probs: Array[Double], seeds: Set[Int]): Double = {
-      val walk = new LiveWalk(n)
-      var hit = 0
-      var i = 0
-      while (i < samples.length) {
-        walk.stored(samples(i), probs, seed, -1)
-        if (seeds.exists(walk.visited)) hit += 1
-        i += 1
-      }
-      n.toDouble * hit / samples.length
-    }
 
     /** RIS spread estimate for a single user over a sample prefix —
       * `restrict` < numSamples is the cheap first stage of the
@@ -83,8 +71,9 @@ object RRIndex {
     * which the driver collects in sample-id order.
     *
     * @param maxNodesPerSample safety valve against a supercritical
-    *        `p^max` graph; truncated samples are flagged and counted by
-    *        callers (no silent cap).
+    *        `p^max` graph. A truncated sample carries `truncated = true`,
+    *        but no caller reads that flag yet, so the cap is silent to
+    *        the services (ROADMAP open item 3).
     */
   def build(
       spark: SparkSession,

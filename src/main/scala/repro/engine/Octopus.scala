@@ -71,7 +71,8 @@ final class Octopus(
   ): (Seq[String], GreedyIM.IMResult, Array[Double]) = {
     require(k >= 1 && k <= model.graph.n, s"k must be in [1, ${model.graph.n}], got $k")
     requireKnown(keywords)
-    val (res, gamma) = BestEffortKIM.query(model, precomp, keywords, k, kimConfig)
+    val gamma = model.gammaFor(keywords)
+    val res = BestEffortKIM.queryGamma(model.graph, precomp, gamma, k, kimConfig)
     (res.seeds.map(userNames), res, gamma)
   }
 

@@ -8,10 +8,12 @@ import repro.topic.{TopicEM, TopicModel}
 
 /** Table harnesses for EXPERIMENTS.md — one function per table T1..T6
   * (see DESIGN.md §4 for the mapping from the paper's demo scenarios and
-  * efficiency claims to these tables). Each returns a [[Experiments.Table]]
-  * so the bench suites can both assert the expected *shape* and print the
-  * rows recorded in EXPERIMENTS.md, and the spark-submit jobs can emit
-  * the same rows.
+  * efficiency claims to these tables). This file is the one definition of
+  * every table: [[networks]] fixes the network each table runs on, and
+  * each `tN` fixes its own parameters and picks its own targets. Each
+  * returns a [[Experiments.Table]] so the bench suites can both assert
+  * the expected *shape* and print the rows recorded in EXPERIMENTS.md,
+  * and `TableJob` can emit the same rows.
   */
 object Experiments {
 
@@ -28,7 +30,7 @@ object Experiments {
   }
 
   /** Shared experiment context: dataset + ground-truth-backed model +
-    * offline precomputation, deterministic in (sf, seed).
+    * offline precomputation, deterministic in its [[Network]].
     */
   final case class Ctx(
       spark: SparkSession,
@@ -37,14 +39,27 @@ object Experiments {
       precomp: Array[Double],
   )
 
-  /** @param friend use the dense reciprocal FriendLite network (the QQ
+  /** A table's network: 4 topics, generator seed 42.
+    *
+    * @param friend use the dense reciprocal FriendLite network (the QQ
     *               stand-in) instead of the sparse citation-style CiteLite
     */
-  def ctx(spark: SparkSession, sf: Double, numTopics: Int = 4, vocabSize: Int = 80,
-          seed: Long = 42, friend: Boolean = false): Ctx = {
+  final case class Network(sf: Double, vocabSize: Int = 80, friend: Boolean = false)
+
+  /** The network each table runs on, keyed by table id. */
+  val networks: Map[String, Network] = Map(
+    "T1" -> Network(0.05, friend = true),
+    "T2" -> Network(0.05),
+    "T3" -> Network(0.01, vocabSize = 40),
+    "T4" -> Network(0.05),
+    "T5" -> Network(0.1),
+    "T6" -> Network(0.01, vocabSize = 40),
+  )
+
+  def ctx(spark: SparkSession, net: Network): Ctx = {
     val ds =
-      if (friend) SynthData.friendLite(spark, sf, seed, numTopics, vocabSize)
-      else SynthData.citeLite(spark, sf, seed, numTopics, vocabSize)
+      if (net.friend) SynthData.friendLite(spark, net.sf, seed = 42L, vocabSize = net.vocabSize)
+      else SynthData.citeLite(spark, net.sf, seed = 42L, vocabSize = net.vocabSize)
     val model = TopicEM.fromTruth(ds)
     Ctx(spark, ds, model, Bounds.precomputedUB(model.graph))
   }
@@ -66,17 +81,18 @@ object Experiments {
   // ------------------------------------------------------------------
   final case class T1Row(query: String, overlap: Double, spreadKim: Double, spreadTop: Double)
 
-  def t1(c: Ctx, k: Int = 5, numSamples: Int = 200, evalSamples: Int = 2000): (Table, Seq[T1Row]) = {
+  def t1(c: Ctx): (Table, Seq[T1Row]) = {
+    val k = 5
+    val cfg = BestEffortKIM.Config(numSamples = 200)
     val g = c.model.graph
     val rows = keywordQueries(c.model, 4).map { q =>
       val gamma = c.model.gammaFor(q)
       val probs = g.mixedProbs(gamma)
-      val kim = BestEffortKIM.queryGamma(g, c.precomp, gamma, k,
-        BestEffortKIM.Config(numSamples = numSamples))
-      val top = GreedyIM.topIndividual(g, probs, k, numSamples, seed = 11L)
+      val kim = BestEffortKIM.queryGamma(g, c.precomp, gamma, k, cfg)
+      val top = GreedyIM.topIndividual(g, probs, k, cfg.numSamples, seed = 11L)
       // Fair final comparison: fresh high-precision estimate for both.
-      val sKim = SpreadEstimator.mcSpread(g, probs, kim.seeds, evalSamples, seed = 99L)
-      val sTop = SpreadEstimator.mcSpread(g, probs, top.seeds, evalSamples, seed = 99L)
+      val sKim = SpreadEstimator.mcSpread(g, probs, kim.seeds, 1000, seed = 99L)
+      val sTop = SpreadEstimator.mcSpread(g, probs, top.seeds, 1000, seed = 99L)
       val overlap = kim.seeds.toSet.intersect(top.seeds.toSet).size.toDouble / k
       T1Row(q.mkString(" "), overlap, sKim, sTop)
     }
@@ -95,24 +111,20 @@ object Experiments {
   final case class T2Row(query: String, k: Int, method: String, millis: Long,
                          evals: Long, spread: Double)
 
-  def t2(c: Ctx, ks: Seq[Int] = Seq(1, 5), numQueries: Int = 2, numSamples: Int = 100,
-         runNaive: Boolean = true): (Table, Seq[T2Row]) = {
+  def t2(c: Ctx): (Table, Seq[T2Row]) = {
     val g = c.model.graph
-    val cfg = BestEffortKIM.Config(numSamples = numSamples)
+    val cfg = BestEffortKIM.Config(numSamples = 100)
     val rows = for {
-      q <- keywordQueries(c.model, numQueries)
-      k <- ks
+      q <- keywordQueries(c.model, 2)
+      k <- Seq(1, 5)
       gamma = c.model.gammaFor(q)
       probs = g.mixedProbs(gamma)
       row <- {
-        val naive =
-          if (runNaive) {
-            val r = GreedyIM.naiveGreedy(g, probs, k, numSamples, cfg.seed)
-            Seq(T2Row(q.mkString(" "), k, "naive-greedy", r.millis, r.spreadEvals, r.spread))
-          } else Nil
-        val celf = GreedyIM.celf(g, probs, k, numSamples, cfg.seed)
+        val naive = GreedyIM.naiveGreedy(g, probs, k, cfg.numSamples, cfg.seed)
+        val celf = GreedyIM.celf(g, probs, k, cfg.numSamples, cfg.seed)
         val be = BestEffortKIM.queryGamma(g, c.precomp, gamma, k, cfg)
-        naive ++ Seq(
+        Seq(
+          T2Row(q.mkString(" "), k, "naive-greedy", naive.millis, naive.spreadEvals, naive.spread),
           T2Row(q.mkString(" "), k, "celf", celf.millis, celf.spreadEvals, celf.spread),
           T2Row(q.mkString(" "), k, "best-effort", be.millis, be.spreadEvals, be.spread),
         )
@@ -133,11 +145,11 @@ object Experiments {
   final case class T3Row(target: Int, k: Int, suggested: Seq[String], best: Seq[String],
                          ratio: Double, coherent: Boolean)
 
-  def t3(c: Ctx, targets: Seq[Int], ks: Seq[Int] = Seq(1, 2), rrSamples: Int = 400): (Table, Seq[T3Row]) = {
-    val index = RRIndex.build(c.spark, c.model.graph, rrSamples)
+  def t3(c: Ctx): (Table, Seq[T3Row]) = {
+    val index = RRIndex.build(c.spark, c.model.graph, 500)
     val rows = for {
-      target <- targets
-      k <- ks
+      target <- GreedyIM.topDegree(c.model.graph, 3)
+      k <- Seq(1, 2)
     } yield {
       val sug = KeywordSuggest.suggestWithIndex(c.model, index, target, k, poolSize = 10)
       val best = KeywordSuggest.bestByExhaustiveMC(c.model, target, k, numSamples = 300)
@@ -162,13 +174,14 @@ object Experiments {
   final case class T4Row(target: Int, k: Int, mcMillis: Long, idxMillis: Long,
                          speedup: Double, agree: Double)
 
-  def t4(c: Ctx, targets: Seq[Int], k: Int = 2, poolSize: Int = 10, rrSamples: Int = 300,
-         mcSamples: Int = 200): (Table, Seq[T4Row], Long) = {
+  def t4(c: Ctx): (Table, Seq[T4Row], Long) = {
+    val k = 2
+    val poolSize = 10
     val tIdx0 = System.nanoTime()
-    val index = RRIndex.build(c.spark, c.model.graph, rrSamples)
+    val index = RRIndex.build(c.spark, c.model.graph, 300)
     val indexBuildMs = (System.nanoTime() - tIdx0) / 1000000
-    val rows = targets.map { target =>
-      val mc = KeywordSuggest.suggestMC(c.model, target, k, poolSize, mcSamples)
+    val rows = GreedyIM.topDegree(c.model.graph, 4).map { target =>
+      val mc = KeywordSuggest.suggestMC(c.model, target, k, poolSize, numSamples = 200)
       val idx = KeywordSuggest.suggestWithIndex(c.model, index, target, k, poolSize)
       val sMc = KeywordSuggest.evaluate(c.model, target, mc.keywords)
       val sIdx = KeywordSuggest.evaluate(c.model, target, idx.keywords)
@@ -191,14 +204,13 @@ object Experiments {
   final case class T5Row(root: Int, theta: Double, size: Int, millis: Long,
                          treeSpread: Double, mcSpread: Double)
 
-  def t5(c: Ctx, thetas: Seq[Double] = Seq(0.1, 0.05, 0.01, 0.001),
-         evalSamples: Int = 2000): (Table, Seq[T5Row]) = {
+  def t5(c: Ctx): (Table, Seq[T5Row]) = {
     val g = c.model.graph
-    val root = (0 until g.n).maxBy(g.outDegree)
+    val root = GreedyIM.topDegree(g, 1).head
     val gamma = c.model.prior
     val probs = g.mixedProbs(gamma)
-    val mc = SpreadEstimator.mcSpread(g, probs, Seq(root), evalSamples, seed = 55L)
-    val rows = thetas.map { theta =>
+    val mc = SpreadEstimator.mcSpread(g, probs, Seq(root), 2000, seed = 55L)
+    val rows = Seq(0.1, 0.05, 0.01, 0.001).map { theta =>
       val t0 = System.nanoTime()
       val tree = MIA.mioa(g, probs, root, theta)
       val ms = (System.nanoTime() - t0) / 1000000
@@ -219,9 +231,9 @@ object Experiments {
   final case class T6Result(logLik: Seq[Double], keywordAlignment: Double, edgeMae: Double,
                             mapping: Seq[Int])
 
-  def t6(c: Ctx, iterations: Int = 6): (Table, T6Result) = {
+  def t6(c: Ctx): (Table, T6Result) = {
     val z = c.model.numTopics
-    val res = TopicEM.learn(c.spark, c.ds.edges, c.ds.items, c.ds.actions, c.ds.vocab, z, iterations)
+    val res = TopicEM.learn(c.spark, c.ds.edges, c.ds.items, c.ds.actions, c.ds.vocab, z, 6)
     val learned = res.model
 
     // Greedy topic matching: map each learned topic to the true topic

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.{SparkSpec, TestGraphs}
 import repro.data.{SocialConfig, SocialDataGen}
+import repro.engine.Octopus
 import repro.topic.TopicEM
 
 /** Best-effort online KIM: naïve-greedy quality at a fraction of the
@@ -38,7 +39,7 @@ class BestEffortKIMSpec extends SparkSpec {
 
   test("keyword entry point derives the same result as queryGamma") {
     val kws = Seq(SocialDataGen.keywordName(0, 0), SocialDataGen.keywordName(0, 1))
-    val (viaKeywords, gamma) = BestEffortKIM.query(model, precomp, kws, 2)
+    val (_, viaKeywords, gamma) = Octopus.build(spark, ds).influentialUsers(kws, 2)
     val direct = BestEffortKIM.queryGamma(model.graph, precomp, model.gammaFor(kws), 2)
     assert(viaKeywords.seeds == direct.seeds)
     assert(math.abs(gamma.sum - 1.0) < 1e-9)

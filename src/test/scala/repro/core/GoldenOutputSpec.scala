@@ -14,7 +14,7 @@ import repro.exp.Experiments
   */
 class GoldenOutputSpec extends SparkSpec {
 
-  private lazy val c = Experiments.ctx(spark, sf = 0.01)
+  private lazy val c = Experiments.ctx(spark, Experiments.Network(0.01))
   private lazy val queries = Experiments.keywordQueries(c.model, 2)
   private val cfg = BestEffortKIM.Config()
 
@@ -39,8 +39,7 @@ class GoldenOutputSpec extends SparkSpec {
   private val expectedStoredHash = -1883875458
 
   /** `estimateUserSpread` bits (full, first 60 samples) for the three
-    * highest-out-degree users under each query, then `estimateSpread`
-    * bits of all three under the first query.
+    * highest-out-degree users under each query.
     */
   private val expectedUsers = Seq[(Int, Long, Long)](
     (42, 4614688418178968235L, 4620880867666602667L),
@@ -50,7 +49,6 @@ class GoldenOutputSpec extends SparkSpec {
     (58, 4617315517961601024L, 4620880867666602667L),
     (467, 4632468254207858005L, 4632233691727265792L),
   )
-  private val expectedSetSpread = 4617315517961601024L
 
   /** MIA trees of the three highest-out-degree users, under the topic
     * prior and then under the first query, for θ ∈ {0.01, 0.001} and both
@@ -93,12 +91,9 @@ class GoldenOutputSpec extends SparkSpec {
       (u, doubleToLongBits(index.estimateUserSpread(probs, u)),
         doubleToLongBits(index.estimateUserSpread(probs, u, restrict = 60)))
     }
-    val firstProbs = g.mixedProbs(c.model.gammaFor(queries.head))
-    val set = doubleToLongBits(index.estimateSpread(firstProbs, users.toSet))
     assert(stored == expectedStoredEdges)
     assert(hash == expectedStoredHash)
     assert(got == expectedUsers)
-    assert(set == expectedSetSpread)
   }
 
   test("MIA reproduces its recorded trees in settle order") {

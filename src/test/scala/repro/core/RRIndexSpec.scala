@@ -103,32 +103,6 @@ class RRIndexSpec extends SparkSpec {
     }
   }
 
-  test("RIS estimate for seed sets matches exact spread") {
-    val big = RRIndex.build(spark, g, numSamples = 6000, seed = 4L)
-    val probs = g.mixedProbs(Array(0.2, 0.8))
-    val exact = SpreadEstimator.exactSpread(g, probs, Seq(0, 3))
-    val est = big.estimateSpread(probs, Set(0, 3))
-    assert(math.abs(est - exact) < 0.3, s"exact=$exact est=$est")
-  }
-
-  test("seeding every node estimates spread n exactly") {
-    val probs = g.mixedProbs(Array(0.5, 0.5))
-    assert(index.estimateSpread(probs, (0 until g.n).toSet) == g.n.toDouble)
-  }
-
-  test("estimate is monotone in the seed set") {
-    val probs = g.mixedProbs(Array(0.5, 0.5))
-    val s1 = index.estimateSpread(probs, Set(0))
-    val s2 = index.estimateSpread(probs, Set(0, 1))
-    assert(s2 >= s1)
-  }
-
-  test("set estimate dominates the best individual estimate") {
-    val probs = g.mixedProbs(Array(0.4, 0.6))
-    val best = (0 until g.n).map(u => index.estimateUserSpread(probs, u)).max
-    assert(index.estimateSpread(probs, (0 until g.n).toSet) >= best)
-  }
-
   test("restricting to the full sample count changes nothing") {
     val probs = g.mixedProbs(Array(0.5, 0.5))
     (0 until g.n).foreach { u =>
