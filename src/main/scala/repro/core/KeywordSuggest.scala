@@ -14,7 +14,8 @@ import repro.topic.TopicModel
   *   - candidate pool: keywords topically aligned with where the target
   *     actually exerts influence (their out-edges' topic mass);
   *   - estimator: the [[RRIndex]] influencer index — no online sampling
-  *     from scratch; membership tests early-exit (pruning) and the
+  *     from scratch; a candidate's γ mixes only the stored edges its
+  *     walks test, membership tests early-exit (pruning) and the
   *     expensive full-sample estimate is *delayed* to a small set of
   *     stage-1 survivors (two-stage evaluation).
   *
@@ -81,23 +82,18 @@ object KeywordSuggest {
       poolSize: Int = 12,
   ): SuggestResult = {
     val t0 = System.nanoTime()
-    val g = model.graph
     val pool = candidatePool(model, target, poolSize)
     val sets = kSubsets(pool, k).toVector
     val stage1 = math.max(1, (index.numSamples * Stage1Frac).toInt)
     val screened = sets
       .map { w =>
         val gamma = model.gammaFor(w)
-        val probs = g.mixedProbs(gamma)
-        (w, gamma, index.estimateUserSpread(probs, target, restrict = stage1))
+        (w, gamma, index.estimateUserSpreadUnder(gamma, target, restrict = stage1))
       }
       .sortBy(-_._3)
       .take(KeepTop)
     val winner = screened
-      .map { case (w, gamma, _) =>
-        val probs = g.mixedProbs(gamma)
-        (w, gamma, index.estimateUserSpread(probs, target))
-      }
+      .map { case (w, gamma, _) => (w, gamma, index.estimateUserSpreadUnder(gamma, target)) }
       .maxBy(_._3)
     SuggestResult(winner._1, winner._2, winner._3, screened.length, (System.nanoTime() - t0) / 1000000)
   }

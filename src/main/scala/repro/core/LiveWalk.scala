@@ -2,16 +2,15 @@ package repro.core
 
 import repro.data.CompactGraph
 
-import scala.collection.mutable
-
-/** Reusable scratch for walks over the live edges of one possible world.
+/** Reusable scratch for forward walks over the live edges of one
+  * possible world.
   *
-  * Every service rests on one primitive: reachability over the edges that
-  * are live in the world `(seed, sample)`, where edge `e` is live iff
-  * `WorldSampler.u01(seed, sample, e) < probs(e)`. The walks below all run
-  * on the same two arrays: epoch-stamped visit marks (bumping the epoch
-  * clears them in O(1)) and an `Int` array that holds the visit order
-  * (a queue), or the stack of the edge-recording walk.
+  * Spread estimation rests on one primitive: reachability over the edges
+  * that are live in the world `(seed, sample)`, where edge `e` is live iff
+  * `WorldSampler.u01(seed, sample, e) < probs(e)`. The walks below run on
+  * the same two arrays: epoch-stamped visit marks (bumping the epoch
+  * clears them in O(1)) and an `Int` array that holds the visit order (a
+  * queue). The influencer index walks its own flat layout ([[RRIndex]]).
   *
   * A forward walk either hashes the coin of every out-edge it scans (one
   * estimate over worlds built for it alone), or runs on a world that
@@ -29,25 +28,21 @@ final class LiveWalk(n: Int) {
   private val nodes = new Array[Int](n)
   private var size = 0
 
-  private def start(): Unit = {
-    if (epoch == Int.MaxValue) { java.util.Arrays.fill(mark, 0); epoch = 0 }
-    epoch += 1
-    size = 0
-  }
-
   private def visit(v: Int): Unit = { mark(v) = epoch; nodes(size) = v; size += 1 }
 
   /** Was `v` visited by the last walk? */
   def visited(v: Int): Boolean = mark(v) == epoch
 
-  /** Set every node the last [[forward]] or [[stored]] walk visited in `bits`. */
+  /** Set every node the last [[forward]] walk visited in `bits`. */
   def addVisitedTo(bits: java.util.BitSet): Unit = {
     var i = 0
     while (i < size) { bits.set(nodes(i)); i += 1 }
   }
 
   private def startAt(sources: Array[Int], stop: java.util.BitSet): Unit = {
-    start()
+    if (epoch == Int.MaxValue) { java.util.Arrays.fill(mark, 0); epoch = 0 }
+    epoch += 1
+    size = 0
     var i = 0
     while (i < sources.length) {
       val s = sources(i)
@@ -105,78 +100,5 @@ final class LiveWalk(n: Int) {
       }
     }
     size
-  }
-
-  /** Reverse walk over the edges stored for one influencer-index sample,
-    * in the index's world `(seed, s.sampleId)` under `probs`. Returns
-    * true as soon as `target` is reached; with `target = -1` it walks the
-    * whole RR set, which [[visited]] then answers membership for.
-    */
-  def stored(s: RRIndex.Sample, probs: Array[Double], seed: Long, target: Int): Boolean = {
-    start()
-    visit(s.root)
-    if (s.root == target) return true
-    var head = 0
-    while (head < size) {
-      val ins = s.inEdges.getOrElse(nodes(head), null)
-      head += 1
-      if (ins != null) {
-        var i = 0
-        while (i < ins.length) {
-          val (src, e) = ins(i)
-          if (mark(src) != epoch && WorldSampler.u01(seed, s.sampleId, e) < probs(e)) {
-            if (src == target) return true
-            visit(src)
-          }
-          i += 1
-        }
-      }
-    }
-    false
-  }
-
-  /** Depth-first (LIFO) reverse walk from `root` over the full graph in
-    * the world `(seed, sample)` under `pmax`, stored as the influencer-index
-    * sample `sample`. Each node is popped once and all its in-edges are
-    * scanned then, so its live in-edges are kept together as
-    * `(src, edgeId)` in in-CSR order. The sample is truncated if more than
-    * `maxNodes` nodes were reached; the walk then stops after finishing the
-    * current node.
-    */
-  def record(
-      g: CompactGraph,
-      pmax: Array[Double],
-      seed: Long,
-      sample: Long,
-      root: Int,
-      maxNodes: Int,
-  ): RRIndex.Sample = {
-    start()
-    visit(root)
-    val inEdges = Map.newBuilder[Int, Array[(Int, Int)]]
-    val live = mutable.ArrayBuilder.make[(Int, Int)]
-    var reached = 1
-    var truncated = false
-    while (size > 0 && !truncated) {
-      size -= 1
-      val v = nodes(size)
-      live.clear()
-      var i = g.inOffsets(v)
-      while (i < g.inOffsets(v + 1)) {
-        val src = g.inSrc(i)
-        val e = g.inEdgeId(i)
-        if (WorldSampler.u01(seed, sample, e) < pmax(e)) {
-          live += ((src, e))
-          if (mark(src) != epoch) {
-            visit(src)
-            reached += 1
-            if (reached > maxNodes) truncated = true
-          }
-        }
-        i += 1
-      }
-      if (live.length > 0) inEdges += v -> live.result()
-    }
-    RRIndex.Sample(sample, root, inEdges.result(), truncated)
   }
 }

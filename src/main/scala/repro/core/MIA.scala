@@ -55,19 +55,28 @@ object MIA {
 
   /** Maximum Influence Out-Arborescence: how `root` influences others. */
   def mioa(g: CompactGraph, probs: Array[Double], root: Int, theta: Double): MiaTree =
-    dijkstra(g, probs, root, theta, outward = true)
+    dijkstra(g, probs(_), root, theta, outward = true)
 
   /** Maximum Influence In-Arborescence: who influences `root`. */
   def miia(g: CompactGraph, probs: Array[Double], root: Int, theta: Double): MiaTree =
-    dijkstra(g, probs, root, theta, outward = false)
+    dijkstra(g, probs(_), root, theta, outward = false)
+
+  /** The MIOA (`outward`) or MIIA tree of `root` under topic distribution
+    * γ. Each edge is mixed (`g.mixedProb(e, γ)`) when the search scans it,
+    * so the tree equals `mioa`/`miia` on `g.mixedProbs(γ)` bit for bit
+    * while mixing only the edges the θ-bounded search reaches.
+    */
+  def treeUnder(g: CompactGraph, gamma: Array[Double], root: Int, theta: Double, outward: Boolean): MiaTree =
+    dijkstra(g, g.mixedProb(_, gamma), root, theta, outward)
 
   /** One loop for both directions: MIOA scans out-edges, MIIA scans
-    * in-edges (edge id `inEdgeId(i)`). The per-node state lives in arrays
-    * allocated per call, so concurrent calls share nothing.
+    * in-edges (edge id `inEdgeId(i)`). `prob` gives an edge's probability
+    * by global edge id. The per-node state lives in arrays allocated per
+    * call, so concurrent calls share nothing.
     */
   private def dijkstra(
       g: CompactGraph,
-      probs: Array[Double],
+      prob: Int => Double,
       root: Int,
       theta: Double,
       outward: Boolean,
@@ -90,7 +99,7 @@ object MIA {
         var i = offsets(u)
         while (i < offsets(u + 1)) {
           val v = neighbour(i)
-          val pv = p * probs(if (outward) i else g.inEdgeId(i))
+          val pv = p * prob(if (outward) i else g.inEdgeId(i))
           if (!settled(v) && pv >= theta && pv > bestProb(v)) {
             bestProb(v) = pv
             parent(v) = u

@@ -97,10 +97,7 @@ final class Octopus(
     requireUser(target)
     require(theta > 0.0 && theta <= 1.0, s"theta must be in (0, 1], got $theta")
     requireKnown(keywords)
-    val gamma = model.gammaFor(keywords)
-    val probs = model.graph.mixedProbs(gamma)
-    if (outward) MIA.mioa(model.graph, probs, target, theta)
-    else MIA.miia(model.graph, probs, target, theta)
+    MIA.treeUnder(model.graph, model.gammaFor(keywords), target, theta, outward)
   }
 
   /** Scenario 3 continued: the DataFrame the d3js layer would render. */

@@ -3,6 +3,7 @@ package repro.core
 import java.lang.Double.doubleToLongBits
 
 import repro.SparkSpec
+import repro.engine.Octopus
 import repro.exp.Experiments
 
 /** Pins the deterministic outputs of the live-edge walks and of MIA on
@@ -64,6 +65,19 @@ class GoldenOutputSpec extends SparkSpec {
     (51, -1732049886), (11, -634093640), (112, 565966991), (13, 649832848),
   )
 
+  /** `suggestWithIndex` on a 300-sample index for the three
+    * highest-out-degree users at k ∈ {1, 2}: (user, k, keywords, hash of
+    * the γ bits, estSpread bits, evaluatedSets).
+    */
+  private val expectedSuggest = Seq[(Int, Int, Seq[String], Int, Long, Int)](
+    (42, 1, Seq("kw_t2_0"), -543403683, 4633875629091411285L, 8),
+    (42, 2, Seq("kw_t2_0", "kw_t2_1"), -1248017957, 4633875629091411285L, 8),
+    (58, 1, Seq("kw_t2_0"), -543403683, 4629137466983448576L, 8),
+    (58, 2, Seq("kw_t2_0", "kw_t2_1"), -1248017957, 4629137466983448576L, 8),
+    (467, 1, Seq("kw_t1_0"), -345986339, 4632468254207858005L, 8),
+    (467, 2, Seq("kw_t1_0", "kw_t1_1"), 1411174968, 4632468254207858005L, 8),
+  )
+
   test("CELF, best-effort KIM and mcSpread reproduce their recorded outputs") {
     val g = c.model.graph
     val got = for ((q, qi) <- queries.zipWithIndex; k <- Seq(1, 3)) yield {
@@ -106,6 +120,32 @@ class GoldenOutputSpec extends SparkSpec {
       outward <- Seq(true, false)
     } yield {
       val t = if (outward) MIA.mioa(g, probs, u, theta) else MIA.miia(g, probs, u, theta)
+      (t.size, t.nodes.map(n => (n.node, n.parent, doubleToLongBits(n.prob), n.depth)).hashCode)
+    }
+    assert(got == expectedMia, got.mkString(", "))
+  }
+
+  test("keyword suggestion reproduces its recorded answers") {
+    val g = c.model.graph
+    val index = RRIndex.build(spark, g, 300)
+    val got = for (u <- GreedyIM.topDegree(g, 3); k <- Seq(1, 2)) yield {
+      val r = KeywordSuggest.suggestWithIndex(c.model, index, u, k)
+      (u, k, r.keywords, r.gamma.map(doubleToLongBits).toSeq.hashCode, doubleToLongBits(r.estSpread),
+        r.evaluatedSets)
+    }
+    assert(got == expectedSuggest, got.mkString(", "))
+  }
+
+  test("the MIA service reproduces the recorded trees") {
+    val g = c.model.graph
+    val sys = new Octopus(spark, c.model, Array.tabulate(g.n)(i => s"u$i"), 300, 0, cfg)
+    val got = for {
+      keywords <- Seq(Seq.empty[String], queries.head)
+      u <- GreedyIM.topDegree(g, 3)
+      theta <- Seq(0.01, 0.001)
+      outward <- Seq(true, false)
+    } yield {
+      val t = sys.influencePaths(u, keywords, theta, outward)
       (t.size, t.nodes.map(n => (n.node, n.parent, doubleToLongBits(n.prob), n.depth)).hashCode)
     }
     assert(got == expectedMia, got.mkString(", "))

@@ -50,6 +50,20 @@ class MIASpec extends SparkSpec {
     }
   }
 
+  test("the tree under gamma equals mioa/miia on the mixed probabilities bit for bit") {
+    for (seed <- 1 to 6) {
+      val g = TestGraphs.random(seed * 5, n = 8, z = 3, maxEdges = 16)
+      val gamma = TestGraphs.randomGamma(seed, 3)
+      val probs = g.mixedProbs(gamma)
+      def bits(t: MIA.MiaTree) =
+        t.nodes.map(n => (n.node, n.parent, java.lang.Double.doubleToLongBits(n.prob), n.depth))
+      for (root <- 0 until g.n; theta <- Seq(0.001, 0.2); outward <- Seq(true, false)) {
+        val ref = if (outward) MIA.mioa(g, probs, root, theta) else MIA.miia(g, probs, root, theta)
+        assert(bits(MIA.treeUnder(g, gamma, root, theta, outward)) == bits(ref), s"seed $seed root $root")
+      }
+    }
+  }
+
   test("miia equals mioa on the edge-reversed graph") {
     val g = TestGraphs.multi(5, 2,
       (0, 1, Seq(0.5, 0.1)), (1, 2, Seq(0.4, 0.2)), (3, 2, Seq(0.9, 0.9)), (2, 4, Seq(0.3, 0.3)))

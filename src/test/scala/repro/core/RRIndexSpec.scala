@@ -1,5 +1,7 @@
 package repro.core
 
+import java.lang.Double.doubleToLongBits
+
 import repro.{SparkSpec, TestGraphs}
 import repro.core.WorldSampler.u01
 
@@ -33,45 +35,75 @@ class RRIndexSpec extends SparkSpec {
     }
   }
 
-  test("stored edges are exactly the live-superset reverse closure") {
-    // Driver-side reference reconstruction for a few samples.
+  /** Driver-side reference for the build walk of `s` (seed 77): the LIFO
+    * reverse walk under `p^max` from its root, as `(src, dst, edgeId)`
+    * triples, and whether more than `cap` nodes were reached. The walk
+    * finishes the node that crossed the cap and scans no other.
+    */
+  private def referenceStored(s: RRIndex.Sample, cap: Int): (Set[(Int, Int, Int)], Boolean) = {
     val pmax = g.maxProbs()
-    for (s <- index.samples.take(10)) {
-      val visited = scala.collection.mutable.Set(s.root)
-      val stack = scala.collection.mutable.ArrayDeque(s.root)
-      val expect = scala.collection.mutable.Set.empty[(Int, Int, Int)]
-      while (stack.nonEmpty) {
-        val v = stack.removeLast()
-        for (i <- g.inOffsets(v) until g.inOffsets(v + 1)) {
-          val src = g.inSrc(i); val e = g.inEdgeId(i)
-          if (u01(77L, s.sampleId, e) < pmax(e)) {
-            expect += ((src, v, e))
-            if (!visited.contains(src)) { visited += src; stack.append(src) }
-          }
+    val visited = scala.collection.mutable.Set(s.root)
+    val stack = scala.collection.mutable.ArrayDeque(s.root)
+    val expect = scala.collection.mutable.Set.empty[(Int, Int, Int)]
+    var truncated = false
+    while (stack.nonEmpty && !truncated) {
+      val v = stack.removeLast()
+      for (i <- g.inOffsets(v) until g.inOffsets(v + 1)) {
+        val src = g.inSrc(i); val e = g.inEdgeId(i)
+        if (u01(77L, s.sampleId, e) < pmax(e)) {
+          expect += ((src, v, e))
+          if (!visited.contains(src)) { visited += src; stack.append(src) }
         }
       }
-      val stored = s.inEdges.toSeq.flatMap { case (dst, es) => es.map(p => (p._1, dst, p._2)) }.toSet
-      assert(stored == expect.toSet, s"sample ${s.sampleId}")
+      truncated = visited.size > cap
     }
+    (expect.toSet, truncated)
   }
 
-  private lazy val walk = new LiveWalk(g.n)
+  private def storedTriples(s: RRIndex.Sample): Set[(Int, Int, Int)] =
+    s.inEdges.toSeq.flatMap { case (dst, es) => es.map(p => (p._1, dst, p._2)) }.toSet
 
-  /** The full RR set of `s` under `probs`. */
-  private def rrSet(s: RRIndex.Sample, probs: Array[Double]): Set[Int] = {
-    walk.stored(s, probs, index.seed, -1)
-    (0 until g.n).filter(walk.visited).toSet
+  test("stored edges are exactly the live-superset reverse closure") {
+    for (s <- index.samples.take(10))
+      assert(storedTriples(s) == referenceStored(s, Int.MaxValue)._1, s"sample ${s.sampleId}")
+  }
+
+  test("a truncated sample keeps the edges its walk scanned before the cap") {
+    val samples = RRIndex.build(spark, g, numSamples = 200, seed = 77L, maxNodesPerSample = 1).samples
+    for (s <- samples)
+      assert((storedTriples(s), s.truncated) == referenceStored(s, cap = 1), s"sample ${s.sampleId}")
+    assert(samples.exists(_.truncated) && samples.exists(!_.truncated))
+  }
+
+  /** The full RR set of sample `s` under `probs`, by the index's walk. */
+  private def rrSet(s: Int, probs: Array[Double]): Set[Int] =
+    (0 until g.n).filter(index.reaches(s, _, probs)).toSet
+
+  /** Reference RR set: a breadth-first walk over the boxed stored edges
+    * of `s` that hashes every coin again.
+    */
+  private def referenceRRSet(s: RRIndex.Sample, probs: Array[Double], seed: Long): Set[Int] = {
+    val seen = scala.collection.mutable.Set(s.root)
+    val queue = scala.collection.mutable.Queue(s.root)
+    while (queue.nonEmpty) {
+      for ((src, e) <- s.inEdges.getOrElse(queue.dequeue(), Array.empty[(Int, Int)])
+           if !seen(src) && u01(seed, s.sampleId, e) < probs(e)) {
+        seen += src
+        queue += src
+      }
+    }
+    seen.toSet
   }
 
   test("the root is always in its own RR set") {
     val probs = g.mixedProbs(Array(0.5, 0.5))
-    index.samples.foreach(s => assert(walk.stored(s, probs, index.seed, s.root)))
+    index.samples.foreach(s => assert(index.reaches(s.sampleId.toInt, s.root, probs)))
   }
 
   test("rrSet under gamma is contained in the p^max superset nodes") {
     val probs = g.mixedProbs(Array(0.3, 0.7))
     val pmaxProbs = g.maxProbs()
-    index.samples.take(20).foreach { s =>
+    (0 until 20).foreach { s =>
       val under = rrSet(s, probs)
       val sup = rrSet(s, pmaxProbs)
       assert(under.subsetOf(sup))
@@ -81,8 +113,48 @@ class RRIndexSpec extends SparkSpec {
   test("the early-exit walk agrees with full RR-set membership") {
     val probs = g.mixedProbs(Array(0.6, 0.4))
     index.samples.take(30).foreach { s =>
-      val full = rrSet(s, probs)
-      (0 until g.n).foreach(u => assert(walk.stored(s, probs, index.seed, u) == full.contains(u)))
+      val full = referenceRRSet(s, probs, index.seed)
+      (0 until g.n).foreach(u => assert(index.reaches(s.sampleId.toInt, u, probs) == full.contains(u)))
+    }
+  }
+
+  test("the gamma walk equals the array walk and the boxed reference bit for bit") {
+    val numSamples = 70
+    var unsampled = 0
+    var roots = 0
+    var truncated = 0
+    for (seed <- 1L to 4L; (n, maxEdges) <- Seq((8, 14), (40, 20)); cap <- Seq(20000, 2)) {
+      val rg = TestGraphs.random(seed, n = n, z = 3, maxEdges = maxEdges)
+      val idx = RRIndex.build(spark, rg, numSamples, seed = seed, maxNodesPerSample = cap)
+      val samples = idx.samples
+      truncated += idx.truncatedSamples
+      val gamma = TestGraphs.randomGamma(seed, 3)
+      val probs = rg.mixedProbs(gamma)
+      val rrSets = samples.map(referenceRRSet(_, probs, seed))
+      for (u <- 0 until n) {
+        val holding = samples.count(s => s.root == u || s.inEdges.contains(u) ||
+          s.inEdges.valuesIterator.exists(_.exists(_._1 == u)))
+        if (holding == 0) unsampled += 1
+        roots += samples.count(_.root == u)
+        for (r <- Seq(1, 60, numSamples, numSamples + 5)) {
+          val used = math.min(r, numSamples)
+          val expected = n.toDouble * rrSets.take(used).count(_.contains(u)) / used
+          val viaArray = idx.estimateUserSpread(probs, u, r)
+          val viaGamma = idx.estimateUserSpreadUnder(gamma, u, r)
+          assert(doubleToLongBits(viaArray) == doubleToLongBits(expected), s"seed $seed n $n cap $cap u $u r $r")
+          assert(doubleToLongBits(viaGamma) == doubleToLongBits(viaArray), s"seed $seed n $n cap $cap u $u r $r")
+        }
+      }
+    }
+    assert(unsampled > 0 && roots > 0 && truncated > 0, s"unsampled $unsampled roots $roots truncated $truncated")
+  }
+
+  test("an out-of-range target is rejected") {
+    val gamma = Array(0.5, 0.5)
+    val probs = g.mixedProbs(gamma)
+    for (u <- Seq(-1, g.n)) {
+      intercept[IllegalArgumentException](index.estimateUserSpread(probs, u))
+      intercept[IllegalArgumentException](index.estimateUserSpreadUnder(gamma, u))
     }
   }
 
@@ -120,5 +192,6 @@ class RRIndexSpec extends SparkSpec {
       (0, 1, 0.99), (1, 2, 0.99), (2, 3, 0.99), (3, 4, 0.99), (4, 5, 0.99), (5, 0, 0.99))
     val idx = RRIndex.build(spark, dense, numSamples = 20, seed = 1L, maxNodesPerSample = 2)
     assert(idx.samples.exists(_.truncated))
+    assert(idx.truncatedSamples == idx.samples.count(_.truncated))
   }
 }
