@@ -24,21 +24,17 @@ import repro.data.CompactGraph
   */
 object BestEffortKIM {
 
-  /** Tuning knobs for the online query path.
-    *
-    * @param boundHops   rounds of query-aware bound tightening
-    * @param slack       multiplicative inflation of the bound before it
-    *                    seeds CELF: the bounds are sound for the *exact*
-    *                    spread, while CELF compares them against *MC
-    *                    estimates*, which can exceed the exact value by
-    *                    sampling noise; the slack absorbs that noise
+  /** The online query path's parameters. Callers set only the sample
+    * count R; the rest are fixed: 3 rounds of bound tightening, a slack
+    * of 1.05 on the bounds (sound for the *exact* spread, while CELF
+    * compares them with *MC estimates*, which sampling noise can push
+    * above it) and the worlds' seed.
     */
-  final case class Config(
-      numSamples: Int = 200,
-      boundHops: Int = 3,
-      slack: Double = 1.05,
-      seed: Long = 11L,
-  )
+  final case class Config(numSamples: Int = 200) {
+    val boundHops: Int = 3
+    val slack: Double = 1.05
+    val seed: Long = 11L
+  }
 
   /** Answer one query: top-k seed users for the topic distribution γ
     * (step 1, deriving γ from the keywords, is the caller's

@@ -16,14 +16,15 @@ import repro.topic.{TopicEM, TopicModel}
   *   - [[influencePaths]]     — Scenario 3, interactive influential path
   *     exploration (MIA trees, outward and inward).
   *
-  * Construction mirrors the paper's offline/online split: everything in
-  * [[Octopus.build]] (EM learning, bound precomputation, influencer-index
-  * construction) is the offline phase run as Spark jobs; the service
-  * methods answer online from driver-resident structures. The services
-  * reject an out-of-range user, k or θ (NaN included), and a keyword list
-  * in which no keyword is known, with an `IllegalArgumentException`; so
-  * does the constructor for a sample count below 1, negative hops or a
-  * slack below 1.
+  * Construction mirrors the paper's offline/online split: EM learning
+  * and the influencer-index build are Spark jobs, the bound
+  * precomputation a driver loop, all run once per system; the service
+  * methods answer online from driver-resident structures. Callers choose
+  * only the index's and KIM's sample counts (`rrSamples`,
+  * `kimConfig.numSamples`). The services reject an out-of-range user, k
+  * or θ (NaN included), and a keyword list in which no keyword is known,
+  * with an `IllegalArgumentException`; so does the constructor for a
+  * sample count below 1.
   *
   * @param topicSamples unused; kept so existing callers of this
   *                     constructor still compile
@@ -38,8 +39,6 @@ final class Octopus(
 ) {
   require(rrSamples >= 1, s"rrSamples must be >= 1, got $rrSamples")
   require(kimConfig.numSamples >= 1, s"numSamples must be >= 1, got ${kimConfig.numSamples}")
-  require(kimConfig.boundHops >= 0, s"boundHops must be >= 0, got ${kimConfig.boundHops}")
-  require(kimConfig.slack >= 1, s"slack must be >= 1 or the bounds are unsound, got ${kimConfig.slack}")
 
   /** Offline precomputed per-user spread upper bounds. */
   lazy val precomp: Array[Double] = Bounds.precomputedUB(model.graph)

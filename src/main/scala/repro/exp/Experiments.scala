@@ -4,13 +4,16 @@ import org.apache.spark.sql.SparkSession
 import repro.SynthData
 import repro.core._
 import repro.data.{SocialDataGen, SocialDataset}
+import repro.engine.Octopus
 import repro.topic.{TopicEM, TopicModel}
 
 /** Table harnesses for EXPERIMENTS.md — one function per table T1..T6
   * (see DESIGN.md §4 for the mapping from the paper's demo scenarios and
   * efficiency claims to these tables). This file is the one definition of
   * every table: [[networks]] fixes the network each table runs on, and
-  * each `tN` fixes its own parameters and picks its own targets. Each
+  * each `tN` fixes its own parameters and picks its own targets. T1–T5
+  * take their service rows from an [[Octopus]] built over the table's
+  * dataset, and compute only the baselines and evaluations here. Each
   * returns a [[Experiments.Table]] so the bench suites can both assert
   * the expected *shape* and print the rows recorded in EXPERIMENTS.md,
   * and `TableJob` can emit the same rows.
@@ -29,15 +32,10 @@ object Experiments {
     }
   }
 
-  /** Shared experiment context: dataset + ground-truth-backed model +
-    * offline precomputation, deterministic in its [[Network]].
+  /** Shared experiment context: dataset + its ground-truth model (the one
+    * `Octopus.build` adopts), deterministic in its [[Network]].
     */
-  final case class Ctx(
-      spark: SparkSession,
-      ds: SocialDataset,
-      model: TopicModel,
-      precomp: Array[Double],
-  )
+  final case class Ctx(spark: SparkSession, ds: SocialDataset, model: TopicModel)
 
   /** A table's network: 4 topics, generator seed 42.
     *
@@ -60,8 +58,16 @@ object Experiments {
     val ds =
       if (net.friend) SynthData.friendLite(spark, net.sf, seed = 42L, vocabSize = net.vocabSize)
       else SynthData.citeLite(spark, net.sf, seed = 42L, vocabSize = net.vocabSize)
-    val model = TopicEM.fromTruth(ds)
-    Ctx(spark, ds, model, Bounds.precomputedUB(model.graph))
+    Ctx(spark, ds, TopicEM.fromTruth(ds))
+  }
+
+  /** One warm call of `f`, then the median wall time of 5 more, in ms,
+    * with the warm call's result.
+    */
+  private def medianMs[A](f: => A): (A, Double) = {
+    val res = f
+    val ms = Seq.fill(5) { val t0 = System.nanoTime(); f; (System.nanoTime() - t0) / 1e6 }
+    (res, ms.sorted.apply(2))
   }
 
   /** Pure-topic keyword queries (two keywords from each topic's band)
@@ -83,13 +89,12 @@ object Experiments {
 
   def t1(c: Ctx): (Table, Seq[T1Row]) = {
     val k = 5
-    val cfg = BestEffortKIM.Config(numSamples = 200)
+    val sys = Octopus.build(c.spark, c.ds)
     val g = c.model.graph
     val rows = keywordQueries(c.model, 4).map { q =>
-      val gamma = c.model.gammaFor(q)
+      val (_, kim, gamma) = sys.influentialUsers(q, k)
       val probs = g.mixedProbs(gamma)
-      val kim = BestEffortKIM.queryGamma(g, c.precomp, gamma, k, cfg)
-      val top = GreedyIM.topIndividual(g, probs, k, cfg.numSamples, seed = 11L)
+      val top = GreedyIM.topIndividual(g, probs, k, BestEffortKIM.Config().numSamples, seed = 11L)
       // Fair final comparison: fresh high-precision estimate for both.
       val sKim = SpreadEstimator.mcSpread(g, probs, kim.seeds, 1000, seed = 99L)
       val sTop = SpreadEstimator.mcSpread(g, probs, top.seeds, 1000, seed = 99L)
@@ -114,6 +119,7 @@ object Experiments {
   def t2(c: Ctx): (Table, Seq[T2Row]) = {
     val g = c.model.graph
     val cfg = BestEffortKIM.Config(numSamples = 100)
+    val sys = Octopus.build(c.spark, c.ds, kimConfig = cfg)
     val rows = for {
       q <- keywordQueries(c.model, 2)
       k <- Seq(1, 5)
@@ -122,7 +128,7 @@ object Experiments {
       row <- {
         val naive = GreedyIM.naiveGreedy(g, probs, k, cfg.numSamples, cfg.seed)
         val celf = GreedyIM.celf(g, probs, k, cfg.numSamples, cfg.seed)
-        val be = BestEffortKIM.queryGamma(g, c.precomp, gamma, k, cfg)
+        val be = sys.influentialUsers(q, k)._2
         Seq(
           T2Row(q.mkString(" "), k, "naive-greedy", naive.millis, naive.spreadEvals, naive.spread),
           T2Row(q.mkString(" "), k, "celf", celf.millis, celf.spreadEvals, celf.spread),
@@ -146,12 +152,12 @@ object Experiments {
                          ratio: Double, coherent: Boolean)
 
   def t3(c: Ctx): (Table, Seq[T3Row]) = {
-    val index = RRIndex.build(c.spark, c.model.graph, 500)
+    val sys = Octopus.build(c.spark, c.ds, rrSamples = 500)
     val rows = for {
       target <- GreedyIM.topDegree(c.model.graph, 3)
       k <- Seq(1, 2)
     } yield {
-      val sug = KeywordSuggest.suggestWithIndex(c.model, index, target, k, poolSize = 10)
+      val sug = sys.suggestKeywords(target, k, poolSize = 10)
       val best = KeywordSuggest.bestByExhaustiveMC(c.model, target, k, numSamples = 300)
       val sSug = KeywordSuggest.evaluate(c.model, target, sug.keywords)
       val sBest = KeywordSuggest.evaluate(c.model, target, best.keywords)
@@ -171,29 +177,28 @@ object Experiments {
   // ------------------------------------------------------------------
   // T4 — Scenario 2 efficiency: fresh-MC enumeration vs influencer index
   // ------------------------------------------------------------------
-  final case class T4Row(target: Int, k: Int, mcMillis: Long, idxMillis: Long,
+  final case class T4Row(target: Int, k: Int, mcMillis: Double, idxMillis: Double,
                          speedup: Double, agree: Double)
 
   def t4(c: Ctx): (Table, Seq[T4Row], Long) = {
     val k = 2
     val poolSize = 10
+    val sys = Octopus.build(c.spark, c.ds)
     val tIdx0 = System.nanoTime()
-    val index = RRIndex.build(c.spark, c.model.graph, 300)
+    sys.rrIndex
     val indexBuildMs = (System.nanoTime() - tIdx0) / 1000000
     val rows = GreedyIM.topDegree(c.model.graph, 4).map { target =>
-      val mc = KeywordSuggest.suggestMC(c.model, target, k, poolSize, numSamples = 200)
-      val idx = KeywordSuggest.suggestWithIndex(c.model, index, target, k, poolSize)
+      val (mc, mcMs) = medianMs(KeywordSuggest.suggestMC(c.model, target, k, poolSize, numSamples = 200))
+      val (idx, idxMs) = medianMs(sys.suggestKeywords(target, k, poolSize))
       val sMc = KeywordSuggest.evaluate(c.model, target, mc.keywords)
       val sIdx = KeywordSuggest.evaluate(c.model, target, idx.keywords)
-      T4Row(target, k, mc.millis, idx.millis,
-        mc.millis.toDouble / math.max(idx.millis, 1),
-        math.min(1.0, sIdx / math.max(sMc, 1e-9)))
+      T4Row(target, k, mcMs, idxMs, mcMs / idxMs, math.min(1.0, sIdx / math.max(sMc, 1e-9)))
     }
     val table = Table(
       "T4 — Keyword suggestion latency: fresh-MC enumeration vs influencer index (§II-D claim)",
       Seq("target", "k", "fresh-MC ms", "index ms", "speedup", "quality vs MC"),
-      rows.map(r => Seq(r.target.toString, r.k.toString, r.mcMillis.toString,
-        r.idxMillis.toString, f"${r.speedup}%.1fx", f"${r.agree}%.2f")),
+      rows.map(r => Seq(r.target.toString, r.k.toString, f"${r.mcMillis}%.2f",
+        f"${r.idxMillis}%.2f", f"${r.speedup}%.1fx", f"${r.agree}%.2f")),
     )
     (table, rows, indexBuildMs)
   }
@@ -201,25 +206,22 @@ object Experiments {
   // ------------------------------------------------------------------
   // T5 — Scenario 3: MIA tree size / latency / coverage vs θ
   // ------------------------------------------------------------------
-  final case class T5Row(root: Int, theta: Double, size: Int, millis: Long,
+  final case class T5Row(root: Int, theta: Double, size: Int, millis: Double,
                          treeSpread: Double, mcSpread: Double)
 
   def t5(c: Ctx): (Table, Seq[T5Row]) = {
     val g = c.model.graph
+    val sys = Octopus.build(c.spark, c.ds)
     val root = GreedyIM.topDegree(g, 1).head
-    val gamma = c.model.prior
-    val probs = g.mixedProbs(gamma)
-    val mc = SpreadEstimator.mcSpread(g, probs, Seq(root), 2000, seed = 55L)
+    val mc = SpreadEstimator.mcSpread(g, g.mixedProbs(c.model.prior), Seq(root), 2000, seed = 55L)
     val rows = Seq(0.1, 0.05, 0.01, 0.001).map { theta =>
-      val t0 = System.nanoTime()
-      val tree = MIA.mioa(g, probs, root, theta)
-      val ms = (System.nanoTime() - t0) / 1000000
+      val (tree, ms) = medianMs(sys.influencePaths(root, Seq.empty, theta))
       T5Row(root, theta, tree.size, ms, tree.treeSpread, mc)
     }
     val table = Table(
       "T5 — Influential path exploration: MIA tree vs threshold θ (Scenario 3)",
       Seq("root", "theta", "tree size", "ms", "MIA spread", "MC spread", "coverage"),
-      rows.map(r => Seq(r.root.toString, r.theta.toString, r.size.toString, r.millis.toString,
+      rows.map(r => Seq(r.root.toString, r.theta.toString, r.size.toString, f"${r.millis}%.2f",
         f"${r.treeSpread}%.1f", f"${r.mcSpread}%.1f", f"${r.treeSpread / r.mcSpread}%.2f")),
     )
     (table, rows)

@@ -17,6 +17,7 @@ class GoldenOutputSpec extends SparkSpec {
 
   private lazy val c = Experiments.ctx(spark, Experiments.Network(0.01))
   private lazy val queries = Experiments.keywordQueries(c.model, 2)
+  private lazy val precomp = Bounds.precomputedUB(c.model.graph)
   private val cfg = BestEffortKIM.Config()
 
   /** (query, k) -> (seeds, spreadEvals, spread bits) of plain CELF, then of
@@ -84,7 +85,7 @@ class GoldenOutputSpec extends SparkSpec {
       val gamma = c.model.gammaFor(q)
       val probs = g.mixedProbs(gamma)
       val celf = GreedyIM.celf(g, probs, k, cfg.numSamples, cfg.seed)
-      val be = BestEffortKIM.queryGamma(g, c.precomp, gamma, k, cfg)
+      val be = BestEffortKIM.queryGamma(g, precomp, gamma, k, cfg)
       val mc = SpreadEstimator.mcSpread(g, probs, celf.seeds, 500, 99L)
       (qi, k) -> ((celf.seeds, celf.spreadEvals, doubleToLongBits(celf.spread)),
         (be.seeds, be.spreadEvals, doubleToLongBits(be.spread)), doubleToLongBits(mc))

@@ -1,5 +1,7 @@
 package repro.engine
 
+import java.lang.Double.doubleToLongBits
+
 import repro.SparkSpec
 import repro.core.BestEffortKIM
 import repro.data.SocialDataGen
@@ -22,6 +24,12 @@ class OctopusSpec extends SparkSpec {
     assert(names.size == 5 && names.forall(_.startsWith("user_")))
     assert(res.seeds.distinct.size == 5)
     assert(gamma(0) > 0.5, s"pure topic-0 query should concentrate gamma, got ${gamma.toSeq}")
+    // build passes its sample counts through to the index and to KIM
+    assert(sys.rrIndex.numSamples == 200)
+    val direct = BestEffortKIM.queryGamma(sys.model.graph, sys.precomp, gamma, 5,
+      BestEffortKIM.Config(numSamples = 100))
+    assert(res.seeds == direct.seeds && res.spreadEvals == direct.spreadEvals)
+    assert(doubleToLongBits(res.spread) == doubleToLongBits(direct.spread))
   }
 
   test("scenario 1: seeds lean toward the queried topic's community") {
@@ -113,14 +121,12 @@ class OctopusSpec extends SparkSpec {
     assert(sys.influencePaths(0, Seq.empty, theta = 1.0).root == 0)
   }
 
-  test("the constructor rejects sample counts below 1, negative hops and a slack below 1") {
+  test("the constructor rejects sample counts below 1") {
     def make(rrSamples: Int = 10, cfg: BestEffortKIM.Config = BestEffortKIM.Config()): Octopus =
       new Octopus(spark, sys.model, sys.userNames, rrSamples, topicSamples = 0, cfg)
     intercept[IllegalArgumentException](make(rrSamples = 0))
     intercept[IllegalArgumentException](make(cfg = BestEffortKIM.Config(numSamples = 0)))
-    intercept[IllegalArgumentException](make(cfg = BestEffortKIM.Config(boundHops = -1)))
-    intercept[IllegalArgumentException](make(cfg = BestEffortKIM.Config(slack = 0.99)))
-    make(rrSamples = 1, BestEffortKIM.Config(numSamples = 1, boundHops = 0, slack = 1.0))
+    make(rrSamples = 1, BestEffortKIM.Config(numSamples = 1))
   }
 
   test("full pipeline with EM-learned model runs end to end") {
