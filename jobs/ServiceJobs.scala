@@ -14,10 +14,12 @@ object KimQueryJob {
     val k = args.lift(1).map(_.toInt).getOrElse(5)
     val keywords = if (args.length > 2) args.drop(2).toSeq else Seq("kw_t0_0", "kw_t0_1")
     val sys = Octopus.build(spark, SynthData.citeLite(spark, sf))
+    val t0 = System.nanoTime()
     val (names, res, gamma) = sys.influentialUsers(keywords, k)
+    val ms = (System.nanoTime() - t0) / 1e6
     println(s"query keywords: ${keywords.mkString(" ")}")
     println(s"derived gamma:  ${gamma.map(g => f"$g%.3f").mkString("[", ", ", "]")}")
-    println(f"spread=${res.spread}%.1f evals=${res.spreadEvals} ms=${res.millis}")
+    println(f"spread=${res.spread}%.1f evals=${res.spreadEvals} ms=$ms%.1f")
     names.zip(res.seeds).foreach { case (n, id) => println(s"  seed: $n (id=$id)") }
     spark.stop()
   }

@@ -8,7 +8,7 @@ import repro.data.CompactGraph
   * estimator is [[localUB]] with one hop.
   *
   * All bounds here are *sound* with respect to the exact expected spread
-  * (property-tested against [[SpreadEstimator.exactSpread]]):
+  * (property-tested against exact spreads on tiny graphs):
   *
   *   - `σ(u) ≤ n` trivially, and
   *   - union bound over the first hop: `σ_p(u) ≤ 1 + Σ_{v∈N⁺(u)} p_{uv}·σ_p(v)`,

@@ -27,7 +27,7 @@ object GreedyIM {
     * @param spreadEvals number of full MC spread evaluations performed —
     *                    the pruning-power metric reported in table T2
     */
-  final case class IMResult(seeds: Seq[Int], spread: Double, spreadEvals: Long, millis: Long)
+  final case class IMResult(seeds: Seq[Int], spread: Double, spreadEvals: Long)
 
   /** Plain greedy: k rounds, each evaluating σ(S ∪ {u}) for every
     * remaining candidate. The paper's "naïve" baseline.
@@ -40,7 +40,6 @@ object GreedyIM {
       seed: Long,
   ): IMResult = {
     require(k >= 1 && k <= g.n, s"k must be in 1..${g.n}, got $k")
-    val t0 = System.nanoTime()
     var evals = 0L
     val seeds = mutable.ArrayBuffer.empty[Int]
     var best = 0.0
@@ -59,7 +58,7 @@ object GreedyIM {
       seeds += bestU
       best = bestS
     }
-    IMResult(seeds.toSeq, best, evals, (System.nanoTime() - t0) / 1000000)
+    IMResult(seeds.toSeq, best, evals)
   }
 
   /** CELF lazy greedy, optionally starting from externally supplied
@@ -87,7 +86,6 @@ object GreedyIM {
       initialUpper: Option[Array[Double]] = None,
   ): IMResult = {
     require(numSamples > 0, s"numSamples must be positive, got $numSamples")
-    val t0 = System.nanoTime()
     var evals = 0L
 
     // per-world reached set of the current seed set S (empty at start)
@@ -136,7 +134,7 @@ object GreedyIM {
     }
     // σ̂(S): the per-world reached sets of S, averaged.
     val total = reached.foldLeft(0L)(_ + _.cardinality)
-    IMResult(seeds.toSeq, total.toDouble / numSamples, evals, (System.nanoTime() - t0) / 1000000)
+    IMResult(seeds.toSeq, total.toDouble / numSamples, evals)
   }
 
   /** Top-k users by *individual* spread — the ranking Scenario 1 argues
@@ -149,11 +147,10 @@ object GreedyIM {
       numSamples: Int,
       seed: Long,
   ): IMResult = {
-    val t0 = System.nanoTime()
     val scored = (0 until g.n).map(u => (u, SpreadEstimator.mcSpread(g, probs, Seq(u), numSamples, seed)))
     val seeds = scored.sortBy(-_._2).take(k).map(_._1)
     val spread = SpreadEstimator.mcSpread(g, probs, seeds, numSamples, seed)
-    IMResult(seeds, spread, g.n.toLong, (System.nanoTime() - t0) / 1000000)
+    IMResult(seeds, spread, g.n.toLong)
   }
 
   /** Top-k by out-degree — the cheapest heuristic baseline. */

@@ -2,8 +2,6 @@ package repro.core
 
 import repro.data.CompactGraph
 
-import java.util.stream.IntStream
-
 /** The live-edge graphs of the possible worlds `(seed, s)`, `s < numSamples`,
   * under one probability vector, sampled once so that many walks can run
   * on them without hashing a coin or scanning a dead edge.
@@ -19,39 +17,27 @@ final class LiveWorlds private (val offsets: Array[Array[Int]], val dst: Array[A
 
 object LiveWorlds {
 
-  /** Sample the worlds `(seed, s)`, `s < numSamples`, of `g` under `probs`.
-    * Contiguous chunks of worlds are built in parallel, one per available
-    * processor; each world is a pure function of `(seed, s, probs)`, so
-    * the result does not depend on the split.
+  /** Sample the worlds `(seed, s)`, `s < numSamples`, of `g` under `probs`,
+    * in parallel chunks ([[WorldSampler.tabulate]]).
     */
   def build(g: CompactGraph, probs: Array[Double], numSamples: Int, seed: Long): LiveWorlds = {
     require(numSamples > 0, s"numSamples must be positive, got $numSamples")
-    val offsets = new Array[Array[Int]](numSamples)
-    val dst = new Array[Array[Int]](numSamples)
-    val parts = math.min(numSamples, Runtime.getRuntime.availableProcessors)
-    IntStream.range(0, parts).parallel().forEach { (p: Int) =>
-      val live = new Array[Int](g.numEdges)
-      var s = (numSamples.toLong * p / parts).toInt
-      val end = (numSamples.toLong * (p + 1) / parts).toInt
-      while (s < end) {
-        val off = new Array[Int](g.n + 1)
-        var size = 0
-        var u = 0
-        while (u < g.n) {
-          var e = g.outOffsets(u)
-          val last = g.outOffsets(u + 1)
-          while (e < last) {
-            if (WorldSampler.u01(seed, s, e) < probs(e)) { live(size) = g.outDst(e); size += 1 }
-            e += 1
-          }
-          u += 1
-          off(u) = size
+    val worlds = WorldSampler.tabulate(numSamples)(new Array[Int](g.numEdges)) { (live, s) =>
+      val off = new Array[Int](g.n + 1)
+      var size = 0
+      var u = 0
+      while (u < g.n) {
+        var e = g.outOffsets(u)
+        val last = g.outOffsets(u + 1)
+        while (e < last) {
+          if (WorldSampler.u01(seed, s, e) < probs(e)) { live(size) = g.outDst(e); size += 1 }
+          e += 1
         }
-        offsets(s) = off
-        dst(s) = java.util.Arrays.copyOf(live, size)
-        s += 1
+        u += 1
+        off(u) = size
       }
+      (off, java.util.Arrays.copyOf(live, size))
     }
-    new LiveWorlds(offsets, dst)
+    new LiveWorlds(worlds.map(_._1), worlds.map(_._2))
   }
 }

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.logging.log4j.LogManager
-import org.apache.spark.sql.SparkSession
 import repro.data.CompactGraph
 
 import scala.collection.mutable
@@ -12,8 +11,8 @@ import scala.reflect.ClassTag
   * influencers of uniformly sampled users to avoid online sampling from
   * scratch".
   *
-  * Offline (a distributed Spark job over the broadcast graph): for each
-  * of R uniformly sampled target users, run a *reverse* traversal in the
+  * Offline (once per system, samples walked in parallel): for each of R
+  * uniformly sampled target users, run a *reverse* traversal in the
   * possible world `(seed, sampleId)` under the dominating probabilities
   * `p^max_e = max_z pp^z_e`, and store the traversed edge set with each
   * edge's coin. Because every coin is fixed by [[WorldSampler]] and
@@ -200,9 +199,8 @@ object RRIndex {
   private final val Unseen = -1
   private final val Pushed = -2
 
-  /** Scratch for the build walks of one Spark partition. */
-  private final class Recorder(g: CompactGraph, seed: Long, maxNodes: Int) {
-    private val pmax = g.maxProbs() // hoisted: once per partition, not per sample
+  /** Scratch for the build walks of one chunk of samples. */
+  private final class Recorder(g: CompactGraph, pmax: Array[Double], seed: Long, maxNodes: Int) {
     // node -> Unseen, Pushed, or its local id once popped
     private val local = Array.fill(g.n)(Unseen)
     private val stack = new Array[Int](g.n)
@@ -263,10 +261,10 @@ object RRIndex {
     }
   }
 
-  /** Build the index as a distributed job: sample ids are partitioned
-    * across executors, each walks the broadcast graph reverse-wise under
-    * `p^max` with deterministic coins and returns its (small) samples,
-    * which the driver collects in sample-id order and lays out flat.
+  /** Build the index: contiguous chunks of sample ids are walked in
+    * parallel ([[WorldSampler.tabulate]]), each reverse-wise under `p^max`
+    * with deterministic coins, and the samples are laid out flat in
+    * sample-id order.
     *
     * @param maxNodesPerSample safety valve against a supercritical
     *        `p^max` graph. The index counts the truncated samples in
@@ -274,21 +272,14 @@ object RRIndex {
     *        are any.
     */
   def build(
-      spark: SparkSession,
       g: CompactGraph,
       numSamples: Int,
       seed: Long = 23L,
       maxNodesPerSample: Int = 20000,
   ): Index = {
-    val bcast = spark.sparkContext.broadcast(g)
-    val recorded = spark.sparkContext
-      .parallelize(0L until numSamples.toLong, math.min(numSamples, 64))
-      .mapPartitions { js =>
-        val recorder = new Recorder(bcast.value, seed, maxNodesPerSample)
-        js.map(recorder.record)
-      }
-      .collect()
-    bcast.destroy()
+    val pmax = g.maxProbs()
+    val recorded =
+      WorldSampler.tabulate(numSamples)(new Recorder(g, pmax, seed, maxNodesPerSample))(_.record(_))
     val nodeStart = recorded.map(_.nodes.length).scanLeft(0)(_ + _)
     val edgeBase = recorded.map(_.edgeId.length).scanLeft(0)(_ + _)
     val edgeStart = new Array[Int](nodeStart.last + 1)

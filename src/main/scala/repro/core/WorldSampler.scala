@@ -1,5 +1,9 @@
 package repro.core
 
+import java.util.stream.IntStream
+
+import scala.reflect.ClassTag
+
 /** Deterministic per-(run, sample, edge) uniform coins.
   *
   * Every Monte-Carlo component in the engine (spread estimation, RR-set /
@@ -13,8 +17,10 @@ package repro.core
   *     falls on. This is the substrate for the paper's lazy propagation
   *     sampling — an index built once can be re-evaluated under any γ
   *     without resampling (§II-D).
-  *   - **Offline/online agreement**: the distributed index build walks
-  *     exactly the worlds the online walks re-evaluate.
+  *   - **Offline/online agreement**: the index build walks exactly the
+  *     worlds the online walks re-evaluate.
+  *   - **Split independence**: per-sample work ([[tabulate]]) can run in
+  *     parallel chunks without changing any result.
   */
 object WorldSampler {
 
@@ -38,5 +44,24 @@ object WorldSampler {
   def uniformInt(seed: Long, sample: Long, n: Int): Int = {
     val x = u01(seed, sample, -1L)
     math.min(n - 1, (x * n).toInt)
+  }
+
+  /** The array of `f(scratch, s)` over the samples `s < numSamples`.
+    * Contiguous chunks of samples run in parallel, one per available
+    * processor, and each chunk makes its own `scratch`. When `f` depends
+    * only on `s` (a world is fixed by `(seed, s)`) and reads nothing an
+    * earlier sample left in the scratch, the result does not depend on
+    * the split.
+    */
+  def tabulate[S, A: ClassTag](numSamples: Int)(scratch: => S)(f: (S, Int) => A): Array[A] = {
+    val out = new Array[A](numSamples)
+    val parts = math.min(numSamples, Runtime.getRuntime.availableProcessors)
+    IntStream.range(0, parts).parallel().forEach { (p: Int) =>
+      val own = scratch
+      var s = (numSamples.toLong * p / parts).toInt
+      val end = (numSamples.toLong * (p + 1) / parts).toInt
+      while (s < end) { out(s) = f(own, s); s += 1 }
+    }
+    out
   }
 }

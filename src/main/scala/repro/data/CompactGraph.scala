@@ -4,13 +4,12 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Compact in-driver CSR representation of a topic-aware social graph.
   *
-  * OCTOPUS splits work into offline Spark jobs (model learning, index
-  * building) and an online query engine that must answer in interactive
-  * time; the online side operates on this structure, which is built once
-  * from an edge list ([[CompactGraph.fromEdgeSeq]]: by the generator for
-  * the ground truth, by EM for the learned model) and broadcast to
-  * executors when a distributed job (the RR-index build) needs
-  * whole-graph traversal.
+  * OCTOPUS splits work into offline builds (model learning by Spark EM,
+  * the influencer index, the spread bounds) and an online query engine
+  * that must answer in interactive time. The index and bound builds and
+  * the online side walk this structure, which is built once from an edge
+  * list ([[CompactGraph.fromEdgeSeq]]: by the generator for the ground
+  * truth, by EM for the learned model).
   *
   * Node ids must be dense `0 until n`. Each directed edge has a global
   * edge id (its position in the out-CSR) and `Z` per-topic activation
@@ -28,16 +27,13 @@ final class CompactGraph(
     val inOffsets: Array[Int],
     val inSrc: Array[Int],
     val inEdgeId: Array[Int],
-) extends Serializable {
+) {
 
   /** Number of directed edges. */
   def numEdges: Int = outDst.length
 
   /** Out-degree of node `u`. */
   def outDegree(u: Int): Int = outOffsets(u + 1) - outOffsets(u)
-
-  /** In-degree of node `u`. */
-  def inDegree(u: Int): Int = inOffsets(u + 1) - inOffsets(u)
 
   /** Activation probability of edge `e` on topic `z`. */
   def topicProb(e: Int, z: Int): Double = outProbs(e * numTopics + z)

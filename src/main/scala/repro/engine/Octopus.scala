@@ -16,11 +16,11 @@ import repro.topic.{TopicEM, TopicModel}
   *   - [[influencePaths]]     — Scenario 3, interactive influential path
   *     exploration (MIA trees, outward and inward).
   *
-  * Construction mirrors the paper's offline/online split: EM learning
-  * and the influencer-index build are Spark jobs, the bound
-  * precomputation a driver loop, all run once per system; the service
-  * methods answer online from driver-resident structures. Callers choose
-  * only the index's and KIM's sample counts (`rrSamples`,
+  * Construction mirrors the paper's offline/online split: EM learning is
+  * a Spark job, the influencer-index build walks its samples in parallel
+  * chunks and the bound precomputation is a single loop, all run once per
+  * system; the service methods answer online from in-memory structures.
+  * Callers choose only the index's and KIM's sample counts (`rrSamples`,
   * `kimConfig.numSamples`). The services reject an out-of-range user, k
   * or θ (NaN included), and a keyword list in which no keyword is known,
   * with an `IllegalArgumentException`; so does the constructor for a
@@ -43,8 +43,8 @@ final class Octopus(
   /** Offline precomputed per-user spread upper bounds. */
   lazy val precomp: Array[Double] = Bounds.precomputedUB(model.graph)
 
-  /** Offline influencer index (distributed build). */
-  lazy val rrIndex: RRIndex.Index = RRIndex.build(spark, model.graph, rrSamples)
+  /** Offline influencer index. */
+  lazy val rrIndex: RRIndex.Index = RRIndex.build(model.graph, rrSamples)
 
   private lazy val nameIndex: Map[String, Int] = userNames.zipWithIndex.toMap
 

@@ -40,9 +40,6 @@ final case class TopicModel(
     softmaxFromLogs(logScore)
   }
 
-  /** Pure-topic distribution e_z — used by per-topic precomputations. */
-  def pureTopic(z: Int): Array[Double] = Array.tabulate(numTopics)(t => if (t == z) 1.0 else 0.0)
-
   /** Persist parameters as DataFrames (what a deployment would write). */
   def toDataFrames(spark: SparkSession): (DataFrame, DataFrame, DataFrame) = {
     import spark.implicits._

@@ -3,11 +3,12 @@ package repro
 import org.apache.spark.sql.DataFrame
 import repro.data.CompactGraph
 
-/** Handcrafted and random tiny graphs shared across test suites.
+/** Handcrafted and random tiny graphs shared across test suites, and
+  * small helpers the suites share.
   *
   * Everything here is driver-side — the graphs are small enough for the
-  * exhaustive 2^E spread oracle ([[repro.core.SpreadEstimator.exactSpread]])
-  * that most algorithmic correctness tests diff against.
+  * exhaustive 2^E spread oracle ([[exactSpread]]) that most algorithmic
+  * correctness tests diff against.
   */
 object TestGraphs {
 
@@ -60,5 +61,53 @@ object TestGraphs {
     val draws = Array.fill(z)(-math.log(1.0 - rnd.nextDouble()))
     val s = draws.sum
     draws.map(_ / s)
+  }
+
+  /** Pure-topic distribution e_z over `numTopics` topics. */
+  def pureTopic(numTopics: Int, z: Int): Array[Double] =
+    Array.tabulate(numTopics)(t => if (t == z) 1.0 else 0.0)
+
+  /** In-degree of node `u`. */
+  def inDegree(g: CompactGraph, u: Int): Int = g.inOffsets(u + 1) - g.inOffsets(u)
+
+  /** Exact expected spread by enumerating every live-edge world — only
+    * feasible for graphs with at most ~20 edges.
+    */
+  def exactSpread(g: CompactGraph, probs: Array[Double], seeds: Seq[Int]): Double = {
+    val m = g.numEdges
+    require(m <= 22, s"exactSpread is 2^E; got E=$m")
+    var total = 0.0
+    var mask = 0L
+    val worlds = 1L << m
+    while (mask < worlds) {
+      var w = 1.0
+      var e = 0
+      while (e < m && w > 0.0) {
+        w *= (if (((mask >> e) & 1L) == 1L) probs(e) else 1.0 - probs(e))
+        e += 1
+      }
+      if (w > 0.0) total += w * reachForMask(g, mask, seeds)
+      mask += 1
+    }
+    total
+  }
+
+  private def reachForMask(g: CompactGraph, mask: Long, seeds: Seq[Int]): Int = {
+    val visited = new java.util.BitSet(g.n)
+    val stack = scala.collection.mutable.ArrayDeque.empty[Int]
+    var count = 0
+    seeds.foreach { s => if (!visited.get(s)) { visited.set(s); count += 1; stack.append(s) } }
+    while (stack.nonEmpty) {
+      val u = stack.removeLast()
+      var e = g.outOffsets(u)
+      while (e < g.outOffsets(u + 1)) {
+        val v = g.outDst(e)
+        if (((mask >> e) & 1L) == 1L && !visited.get(v)) {
+          visited.set(v); count += 1; stack.append(v)
+        }
+        e += 1
+      }
+    }
+    count
   }
 }

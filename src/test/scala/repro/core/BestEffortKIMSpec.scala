@@ -17,7 +17,7 @@ class BestEffortKIMSpec extends SparkSpec {
   private lazy val precomp = Bounds.precomputedUB(model.graph)
 
   test("matches CELF output quality on the same worlds") {
-    val gamma = model.pureTopic(0)
+    val gamma = TestGraphs.pureTopic(model.numTopics, 0)
     val probs = model.graph.mixedProbs(gamma)
     val cfg = BestEffortKIM.Config(numSamples = 150)
     val be = BestEffortKIM.queryGamma(model.graph, precomp, gamma, 3, cfg)
@@ -27,7 +27,7 @@ class BestEffortKIMSpec extends SparkSpec {
   }
 
   test("evaluates far fewer spreads than CELF (the pruning claim)") {
-    val gamma = model.pureTopic(1)
+    val gamma = TestGraphs.pureTopic(model.numTopics, 1)
     val probs = model.graph.mixedProbs(gamma)
     val cfg = BestEffortKIM.Config(numSamples = 150)
     val be = BestEffortKIM.queryGamma(model.graph, precomp, gamma, 3, cfg)
@@ -46,7 +46,7 @@ class BestEffortKIMSpec extends SparkSpec {
   }
 
   test("result is deterministic") {
-    val gamma = model.pureTopic(2)
+    val gamma = TestGraphs.pureTopic(model.numTopics, 2)
     val a = BestEffortKIM.queryGamma(model.graph, precomp, gamma, 3)
     val b = BestEffortKIM.queryGamma(model.graph, precomp, gamma, 3)
     assert(a.seeds == b.seeds && a.spread == b.spread)
@@ -64,7 +64,7 @@ class BestEffortKIMSpec extends SparkSpec {
     val gamma = Array(0.5, 0.5)
     val probs = g.mixedProbs(gamma)
     val r = BestEffortKIM.queryGamma(g, pre, gamma, 2, BestEffortKIM.Config(numSamples = 400))
-    val exactOf = (s: Seq[Int]) => SpreadEstimator.exactSpread(g, probs, s)
+    val exactOf = (s: Seq[Int]) => TestGraphs.exactSpread(g, probs, s)
     val best = (0 until g.n).combinations(2).map(c => exactOf(c)).max
     // greedy guarantee: ≥ (1 − 1/e) of optimum; allow MC noise on top
     assert(exactOf(r.seeds) >= 0.6 * best, s"got ${exactOf(r.seeds)} vs best $best")

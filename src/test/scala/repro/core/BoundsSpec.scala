@@ -17,7 +17,7 @@ class BoundsSpec extends AnyFunSuite {
         val gamma = TestGraphs.randomGamma(1000 + gSeed * 10 + s, 2)
         val probs = g.mixedProbs(gamma)
         for (u <- 0 until g.n) {
-          val exact = SpreadEstimator.exactSpread(g, probs, Seq(u))
+          val exact = TestGraphs.exactSpread(g, probs, Seq(u))
           assert(ub(u) >= exact - 1e-9, s"g=$gSeed u=$u ub=${ub(u)} exact=$exact")
         }
       }
@@ -29,7 +29,7 @@ class BoundsSpec extends AnyFunSuite {
     val ub = Bounds.precomputedUB(g)
     for (z <- 0 until 3; u <- 0 until g.n) {
       val probs = g.mixedProbs(Array.tabulate(3)(t => if (t == z) 1.0 else 0.0))
-      assert(ub(u) >= SpreadEstimator.exactSpread(g, probs, Seq(u)) - 1e-9)
+      assert(ub(u) >= TestGraphs.exactSpread(g, probs, Seq(u)) - 1e-9)
     }
   }
 
@@ -42,7 +42,7 @@ class BoundsSpec extends AnyFunSuite {
       for (hops <- Seq(1, 2, 4)) {
         val ub = Bounds.localUB(g, probs, base, hops)
         for (u <- 0 until g.n) {
-          val exact = SpreadEstimator.exactSpread(g, probs, Seq(u))
+          val exact = TestGraphs.exactSpread(g, probs, Seq(u))
           assert(ub(u) >= exact - 1e-9, s"hops=$hops u=$u")
         }
       }

@@ -95,7 +95,7 @@ class GoldenOutputSpec extends SparkSpec {
 
   test("the RR index stores and estimates its recorded values") {
     val g = c.model.graph
-    val index = RRIndex.build(spark, g, 300)
+    val index = RRIndex.build(g, 300)
     val stored = index.samples.iterator.map(_.inEdges.valuesIterator.map(_.length.toLong).sum).sum
     val hash = index.samples.toSeq.map { s =>
       (s.root, s.truncated, s.inEdges.toSeq.sortBy(_._1).map { case (v, es) => (v, es.toSeq) })
@@ -128,7 +128,7 @@ class GoldenOutputSpec extends SparkSpec {
 
   test("keyword suggestion reproduces its recorded answers") {
     val g = c.model.graph
-    val index = RRIndex.build(spark, g, 300)
+    val index = RRIndex.build(g, 300)
     val got = for (u <- GreedyIM.topDegree(g, 3); k <- Seq(1, 2)) yield {
       val r = KeywordSuggest.suggestWithIndex(c.model, index, u, k)
       (u, k, r.keywords, r.gamma.map(doubleToLongBits).toSeq.hashCode, doubleToLongBits(r.estSpread),

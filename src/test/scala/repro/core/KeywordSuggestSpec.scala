@@ -14,7 +14,7 @@ class KeywordSuggestSpec extends SparkSpec {
       numItems = 100, seed = 33L))
   private lazy val model = TopicEM.fromTruth(ds)
   private lazy val g = model.graph
-  private lazy val index = RRIndex.build(spark, g, numSamples = 400, seed = 3L)
+  private lazy val index = RRIndex.build(g, numSamples = 400, seed = 3L)
 
   private def topicOf(u: Int): Int =
     ds.users.collect().find(_.getLong(0) == u).get.getInt(2)

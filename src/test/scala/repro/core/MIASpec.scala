@@ -121,7 +121,7 @@ class MIASpec extends SparkSpec {
       val g = TestGraphs.random(seed * 19, n = 7, maxEdges = 12)
       val probs = g.mixedProbs(Array(0.5, 0.5))
       val t = MIA.mioa(g, probs, 0, theta = 1e-9)
-      val exact = SpreadEstimator.exactSpread(g, probs, Seq(0))
+      val exact = TestGraphs.exactSpread(g, probs, Seq(0))
       assert(t.treeSpread <= exact + 1e-9, s"seed=$seed tree=${t.treeSpread} exact=$exact")
     }
   }

@@ -2,16 +2,18 @@ package repro.core
 
 import java.lang.Double.doubleToLongBits
 
-import repro.{SparkSpec, TestGraphs}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs
 import repro.core.WorldSampler.u01
 
-/** The influencer index: distributed construction, superset property,
-  * and RIS unbiasedness against the exact oracle.
+/** The influencer index: construction independent of how the samples are
+  * split across processors, superset property, and RIS unbiasedness
+  * against the exact oracle.
   */
-class RRIndexSpec extends SparkSpec {
+class RRIndexSpec extends AnyFunSuite {
 
   private lazy val g = TestGraphs.random(40, n = 8, z = 2, maxEdges = 13)
-  private lazy val index = RRIndex.build(spark, g, numSamples = 200, seed = 77L)
+  private lazy val index = RRIndex.build(g, numSamples = 200, seed = 77L)
 
   test("build produces the requested number of samples in order") {
     assert(index.numSamples == 200)
@@ -20,14 +22,30 @@ class RRIndexSpec extends SparkSpec {
 
   test("roots are valid and deterministic") {
     index.samples.foreach(s => assert(s.root >= 0 && s.root < g.n))
-    val again = RRIndex.build(spark, g, numSamples = 200, seed = 77L)
+    val again = RRIndex.build(g, numSamples = 200, seed = 77L)
     assert(again.samples.map(_.root).toSeq == index.samples.map(_.root).toSeq)
     assert(again.samples.map(_.inEdges.view.mapValues(_.toSeq).toMap).toSeq ==
       index.samples.map(_.inEdges.view.mapValues(_.toSeq).toMap).toSeq)
   }
 
+  test("each sample is the same for every split of the samples across processors") {
+    val cores = Runtime.getRuntime.availableProcessors
+    // fewer samples than processors, a multiple of them and not a multiple
+    val sampleCounts = Seq(1, math.max(1, cores - 1), 2 * cores, 2 * cores + 3, 37).distinct
+    def boxed(idx: RRIndex.Index) =
+      idx.samples.toSeq.map(s => (s.sampleId, s.root, s.truncated, s.inEdges.view.mapValues(_.toSeq).toMap))
+    for (cap <- Seq(20000, 2)) {
+      val full = boxed(RRIndex.build(g, sampleCounts.max + 1, seed = 77L, maxNodesPerSample = cap))
+      if (cap == 2) assert(full.exists(_._3) && full.exists(!_._3))
+      for (r <- sampleCounts) {
+        val prefix = boxed(RRIndex.build(g, r, seed = 77L, maxNodesPerSample = cap))
+        assert(prefix == full.take(r), s"r=$r cap=$cap")
+      }
+    }
+  }
+
   test("roots are uniformly distributed") {
-    val big = RRIndex.build(spark, g, numSamples = 2000, seed = 5L)
+    val big = RRIndex.build(g, numSamples = 2000, seed = 5L)
     val counts = big.samples.groupBy(_.root).view.mapValues(_.length)
     (0 until g.n).foreach { u =>
       val c = counts.getOrElse(u, 0)
@@ -69,7 +87,7 @@ class RRIndexSpec extends SparkSpec {
   }
 
   test("a truncated sample keeps the edges its walk scanned before the cap") {
-    val samples = RRIndex.build(spark, g, numSamples = 200, seed = 77L, maxNodesPerSample = 1).samples
+    val samples = RRIndex.build(g, numSamples = 200, seed = 77L, maxNodesPerSample = 1).samples
     for (s <- samples)
       assert((storedTriples(s), s.truncated) == referenceStored(s, cap = 1), s"sample ${s.sampleId}")
     assert(samples.exists(_.truncated) && samples.exists(!_.truncated))
@@ -125,7 +143,7 @@ class RRIndexSpec extends SparkSpec {
     var truncated = 0
     for (seed <- 1L to 4L; (n, maxEdges) <- Seq((8, 14), (40, 20)); cap <- Seq(20000, 2)) {
       val rg = TestGraphs.random(seed, n = n, z = 3, maxEdges = maxEdges)
-      val idx = RRIndex.build(spark, rg, numSamples, seed = seed, maxNodesPerSample = cap)
+      val idx = RRIndex.build(rg, numSamples, seed = seed, maxNodesPerSample = cap)
       val samples = idx.samples
       truncated += idx.truncatedSamples
       val gamma = TestGraphs.randomGamma(seed, 3)
@@ -165,11 +183,11 @@ class RRIndexSpec extends SparkSpec {
   }
 
   test("RIS estimate is unbiased: matches exact spread within tolerance") {
-    val big = RRIndex.build(spark, g, numSamples = 6000, seed = 3L)
+    val big = RRIndex.build(g, numSamples = 6000, seed = 3L)
     val gamma = Array(0.5, 0.5)
     val probs = g.mixedProbs(gamma)
     for (u <- 0 until g.n) {
-      val exact = SpreadEstimator.exactSpread(g, probs, Seq(u))
+      val exact = TestGraphs.exactSpread(g, probs, Seq(u))
       val est = big.estimateUserSpread(probs, u)
       assert(math.abs(est - exact) < 0.25, s"u=$u exact=$exact est=$est")
     }
@@ -190,7 +208,7 @@ class RRIndexSpec extends SparkSpec {
   test("truncation flag fires when the cap is tiny") {
     val dense = TestGraphs.single(6,
       (0, 1, 0.99), (1, 2, 0.99), (2, 3, 0.99), (3, 4, 0.99), (4, 5, 0.99), (5, 0, 0.99))
-    val idx = RRIndex.build(spark, dense, numSamples = 20, seed = 1L, maxNodesPerSample = 2)
+    val idx = RRIndex.build(dense, numSamples = 20, seed = 1L, maxNodesPerSample = 2)
     assert(idx.samples.exists(_.truncated))
     assert(idx.truncatedSamples == idx.samples.count(_.truncated))
   }

@@ -8,21 +8,21 @@ class SpreadEstimatorSpec extends AnyFunSuite {
 
   test("deterministic edges: probability 1 chain is fully reached") {
     val g = TestGraphs.chain3(1.0)
-    assert(SpreadEstimator.exactSpread(g, g.mixedProbs(Array(1.0)), Seq(0)) == 3.0)
+    assert(TestGraphs.exactSpread(g, g.mixedProbs(Array(1.0)), Seq(0)) == 3.0)
     assert(SpreadEstimator.mcSpread(g, g.mixedProbs(Array(1.0)), Seq(0), 50, 1) == 3.0)
   }
 
   test("probability 0 edges: only seeds are reached") {
     val g = TestGraphs.chain3(0.0)
     val p = g.mixedProbs(Array(1.0))
-    assert(SpreadEstimator.exactSpread(g, p, Seq(0)) == 1.0)
+    assert(TestGraphs.exactSpread(g, p, Seq(0)) == 1.0)
     assert(SpreadEstimator.mcSpread(g, p, Seq(0), 50, 1) == 1.0)
   }
 
   test("chain: exact spread is 1 + p + p^2") {
     val g = TestGraphs.chain3(0.5)
     val p = g.mixedProbs(Array(1.0))
-    assert(math.abs(SpreadEstimator.exactSpread(g, p, Seq(0)) - (1 + 0.5 + 0.25)) < 1e-12)
+    assert(math.abs(TestGraphs.exactSpread(g, p, Seq(0)) - (1 + 0.5 + 0.25)) < 1e-12)
   }
 
   test("diamond: exact spread matches the closed form") {
@@ -31,14 +31,14 @@ class SpreadEstimatorSpec extends AnyFunSuite {
     val probs = g.mixedProbs(Array(1.0))
     // σ(0) = 1 + 2p + P(3), with P(3) = 1 - (1 - p²)²
     val expected = 1 + 2 * p + (1 - math.pow(1 - p * p, 2))
-    assert(math.abs(SpreadEstimator.exactSpread(g, probs, Seq(0)) - expected) < 1e-12)
+    assert(math.abs(TestGraphs.exactSpread(g, probs, Seq(0)) - expected) < 1e-12)
   }
 
   test("MC converges to the exact spread on random graphs") {
     for (seed <- 1 to 5) {
       val g = TestGraphs.random(seed, n = 6, maxEdges = 12)
       val probs = g.mixedProbs(TestGraphs.randomGamma(seed, 2))
-      val exact = SpreadEstimator.exactSpread(g, probs, Seq(0))
+      val exact = TestGraphs.exactSpread(g, probs, Seq(0))
       val mc = SpreadEstimator.mcSpread(g, probs, Seq(0), 20000, seed)
       assert(math.abs(mc - exact) < 0.08, s"seed=$seed exact=$exact mc=$mc")
     }
@@ -47,7 +47,7 @@ class SpreadEstimatorSpec extends AnyFunSuite {
   test("MC converges for multi-node seed sets") {
     val g = TestGraphs.random(11, n = 6, maxEdges = 12)
     val probs = g.mixedProbs(Array(0.5, 0.5))
-    val exact = SpreadEstimator.exactSpread(g, probs, Seq(0, 3))
+    val exact = TestGraphs.exactSpread(g, probs, Seq(0, 3))
     val mc = SpreadEstimator.mcSpread(g, probs, Seq(0, 3), 20000, 4)
     assert(math.abs(mc - exact) < 0.08)
   }
@@ -107,7 +107,7 @@ class SpreadEstimatorSpec extends AnyFunSuite {
     val g = TestGraphs.random(17, n = 6)
     val probs = g.mixedProbs(Array(1.0, 0.0))
     assert(SpreadEstimator.mcSpread(g, probs, Seq(0, 1), 200, 7) <= 6.0)
-    assert(SpreadEstimator.exactSpread(g, probs, Seq(0, 1)) <= 6.0)
+    assert(TestGraphs.exactSpread(g, probs, Seq(0, 1)) <= 6.0)
   }
 
   test("mcSpread equals the average of the per-world forward walks") {
@@ -130,23 +130,23 @@ class SpreadEstimatorSpec extends AnyFunSuite {
     val edges = (0 until 25).map(i => (i, i + 1, 0.5))
     val g = TestGraphs.single(26, edges: _*)
     intercept[IllegalArgumentException] {
-      SpreadEstimator.exactSpread(g, g.mixedProbs(Array(1.0)), Seq(0))
+      TestGraphs.exactSpread(g, g.mixedProbs(Array(1.0)), Seq(0))
     }
   }
 
   test("isolated seed has spread exactly 1") {
     val g = TestGraphs.single(4, (0, 1, 0.9), (1, 2, 0.9))
     val p = g.mixedProbs(Array(1.0))
-    assert(SpreadEstimator.exactSpread(g, p, Seq(3)) == 1.0)
+    assert(TestGraphs.exactSpread(g, p, Seq(3)) == 1.0)
     assert(SpreadEstimator.mcSpread(g, p, Seq(3), 100, 11) == 1.0)
   }
 
   test("exact linearity check: two disconnected components add up") {
     val g = TestGraphs.single(6, (0, 1, 0.4), (3, 4, 0.7))
     val p = g.mixedProbs(Array(1.0))
-    val both = SpreadEstimator.exactSpread(g, p, Seq(0, 3))
-    val a = SpreadEstimator.exactSpread(g, p, Seq(0))
-    val b = SpreadEstimator.exactSpread(g, p, Seq(3))
+    val both = TestGraphs.exactSpread(g, p, Seq(0, 3))
+    val a = TestGraphs.exactSpread(g, p, Seq(0))
+    val b = TestGraphs.exactSpread(g, p, Seq(3))
     assert(math.abs(both - (a + b)) < 1e-12)
   }
 }

@@ -26,7 +26,7 @@ class CompactGraphSpec extends SparkSpec {
 
   test("fromEdgeSeq: in-degrees") {
     val g = CompactGraph.fromEdgeSeq(3, 2, sampleEdges)
-    assert(g.inDegree(0) == 1 && g.inDegree(1) == 1 && g.inDegree(2) == 2)
+    assert((0 until 3).map(TestGraphs.inDegree(g, _)) == Seq(1, 1, 2))
   }
 
   test("edge ids are assigned in (src, dst) sorted order") {
@@ -51,7 +51,7 @@ class CompactGraphSpec extends SparkSpec {
   test("sum of degrees equals edge count on both sides") {
     val g = TestGraphs.random(1, n = 9, maxEdges = 14)
     assert((0 until g.n).map(g.outDegree).sum == g.numEdges)
-    assert((0 until g.n).map(g.inDegree).sum == g.numEdges)
+    assert((0 until g.n).map(TestGraphs.inDegree(g, _)).sum == g.numEdges)
   }
 
   test("mixedProb is the γ dot product") {
@@ -93,7 +93,7 @@ class CompactGraphSpec extends SparkSpec {
 
   test("explicit numNodes keeps trailing isolated nodes") {
     val g = CompactGraph.fromEdgeSeq(5, 1, Seq((0, 1, Array(0.5))))
-    assert(g.n == 5 && g.outDegree(4) == 0 && g.inDegree(4) == 0)
+    assert(g.n == 5 && g.outDegree(4) == 0 && TestGraphs.inDegree(g, 4) == 0)
   }
 
   test("ragged probs arrays are rejected") {

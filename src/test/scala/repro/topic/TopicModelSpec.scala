@@ -60,7 +60,7 @@ class TopicModelSpec extends SparkSpec {
   }
 
   test("pureTopic is a one-hot vector") {
-    assert(model.pureTopic(1).toSeq == Seq(0.0, 1.0))
+    assert(TestGraphs.pureTopic(model.numTopics, 1).toSeq == Seq(0.0, 1.0))
   }
 
   test("keywordIndex maps every vocab entry") {
