@@ -277,6 +277,7 @@ object RRIndex {
       seed: Long = 23L,
       maxNodesPerSample: Int = 20000,
   ): Index = {
+    require(numSamples > 0, s"numSamples must be positive, got $numSamples")
     val pmax = g.maxProbs()
     val recorded =
       WorldSampler.tabulate(numSamples)(new Recorder(g, pmax, seed, maxNodesPerSample))(_.record(_))

@@ -67,6 +67,9 @@ object SocialDataGen {
     */
   def keywordName(band: Int, idx: Int): String = s"kw_t${band}_$idx"
 
+  /** Topic band of keyword id `w`: topic t owns the ids [t·V/Z, (t+1)·V/Z). */
+  def band(w: Int, numTopics: Int, vocabSize: Int): Int = w * numTopics / vocabSize
+
   def generate(spark: SparkSession, cfg: SocialConfig): SocialDataset = {
     require(cfg.numUsers > 1 && cfg.numTopics > 0 && cfg.vocabSize >= cfg.numTopics)
     val rnd = new java.util.Random(cfg.seed)
@@ -120,9 +123,10 @@ object SocialDataGen {
     }
 
     // --- ground-truth keyword-topic distribution p(w|z) ---------------
-    // Topic t owns the contiguous band [t*V/Z, (t+1)*V/Z): zipf weights
-    // inside the band plus 5% uniform cross-topic smoothing.
-    val bandOf = Array.tabulate(v)(w => w * z / v)
+    // Zipf weights inside each topic's band plus 5% uniform cross-topic
+    // smoothing.
+    val bandOf = Array.tabulate(v)(band(_, z, v))
+    val names = Array.tabulate(v)(w => keywordName(bandOf(w), w - bandOf(w) * v / z))
     val phi = Array.tabulate(z) { t =>
       val raw = Array.tabulate(v) { w =>
         val inBand = bandOf(w) == t
@@ -152,8 +156,7 @@ object SocialDataGen {
       var draws = 0
       while (kws.size < cfg.keywordsPerItem && draws < cfg.keywordsPerItem * 8) {
         draws += 1
-        val w = drawFrom(cumPhi(topic), rnd)
-        kws += keywordName(bandOf(w), w - bandOf(w) * v / z)
+        kws += names(drawFrom(cumPhi(topic), rnd))
       }
       val src =
         if (byTopic(topic).nonEmpty && rnd.nextDouble() < 0.8)
@@ -191,7 +194,7 @@ object SocialDataGen {
     val itemsDf = items.toSeq.toDF("itemId", "srcUser", "truthTopic", "keywords")
     val actionsDf = actions.toSeq.toDF("itemId", "src", "dst", "success")
     val vocabDf = (0 until v)
-      .map(w => (w.toLong, keywordName(bandOf(w), w - bandOf(w) * v / z), bandOf(w)))
+      .map(w => (w.toLong, names(w), bandOf(w)))
       .toDF("keywordId", "keyword", "topicBand")
 
     SocialDataset(usersDf, edgesDf, itemsDf, actionsDf, vocabDf, graph, phi, prior)

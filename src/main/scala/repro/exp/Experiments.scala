@@ -167,7 +167,8 @@ object Experiments {
       val best = KeywordSuggest.bestByExhaustiveMC(c.model, target, k, numSamples = 300)
       val sSug = KeywordSuggest.evaluate(c.model, target, sug.keywords)
       val sBest = KeywordSuggest.evaluate(c.model, target, best.keywords)
-      val bands = sug.keywords.map(_.split("_")(1))
+      val bands = sug.keywords.map(kw =>
+        SocialDataGen.band(c.model.keywordIndex(kw), c.model.numTopics, c.model.vocab.length))
       T3Row(target, k, sug.keywords, best.keywords,
         math.min(1.0, sSug / math.max(sBest, 1e-9)), bands.distinct.size == 1)
     }
@@ -251,7 +252,7 @@ object Experiments {
     // Greedy topic matching: map each learned topic to the true topic
     // whose keyword band it puts the most φ mass on.
     val v = learned.vocab.length
-    val bandOf = Array.tabulate(v)(w => w * z / v) // matches the generator's banding
+    val bandOf = Array.tabulate(v)(SocialDataGen.band(_, z, v))
     val mass = Array.tabulate(z, z) { (lt, tt) =>
       (0 until v).filter(bandOf(_) == tt).map(learned.phi(lt)).sum
     }

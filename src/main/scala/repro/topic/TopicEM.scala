@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.data.CompactGraph
 
-/** Distributed EM learner for the topic-aware IC (TIC) model, following
+/** EM learner for the topic-aware IC (TIC) model, following
   * Barbieri, Bonchi, Manco (ICDM 2012) as cited by OCTOPUS §II-B.
   *
   * Input is exactly what OCTOPUS ingests: graph topology + action logs
@@ -13,10 +13,10 @@ import repro.data.CompactGraph
   * p(z), keyword distributions p(w|z), per-edge per-topic activation
   * probabilities pp^z_{u,v}.
   *
-  * The logs are grouped once into one cached record per item. Each
-  * iteration is one Spark pass: it broadcasts the log-parameters, folds
-  * every item's topic responsibilities (E-step) into per-partition
-  * sufficient statistics, and merges those on the driver for the M-step.
+  * One Spark query groups the logs into one record per item, collected
+  * to the driver and sorted by item id. Each iteration folds every item's
+  * topic responsibilities (E-step) into one array of sufficient statistics,
+  * in that order, and re-estimates the parameters from it (M-step).
   */
 object TopicEM {
 
@@ -37,10 +37,8 @@ object TopicEM {
 
   /** Run EM.
     *
-    * Statistics are summed in item order and merged in partition order, so
-    * the bits depend on how the item records are split. Adaptive execution
-    * coalesces them into one partition up to its advisory size (64 MB by
-    * default); below that `spark.sql.shuffle.partitions` does not matter.
+    * Statistics are summed in item-id order, so the learned bits do not
+    * depend on how Spark partitions the logs.
     *
     * @param edges    topology with `src`, `dst` (extra columns ignored)
     * @param items    `itemId`, `keywords: array<string>`
@@ -74,8 +72,9 @@ object TopicEM {
     val edgesIdx = edgePairs.zipWithIndex.map { case ((s, d), e) => (s, d, e) }.toSeq
       .toDF("src", "dst", "edgeId")
 
-    // One cached record per item, ids sorted: (keyword ids, counts, tried
+    // One record per item, in item-id order: (keyword ids, counts, tried
     // edge ids, outcomes). Items with no known keyword and no trial follow the prior.
+    // The driver sorts them: `orderBy` would add a sampling job and a shuffle.
     val kwLog = items
       .select($"itemId", explode($"keywords") as "keyword")
       .join(vocabDf.select($"keyword", $"keywordId".cast("int") as "w"), Seq("keyword"))
@@ -88,15 +87,13 @@ object TopicEM {
     val logs = items.select($"itemId")
       .join(kwLog, Seq("itemId"), "left")
       .join(trialLog, Seq("itemId"), "left")
-      .repartition($"itemId")
-      .sortWithinPartitions($"itemId")
       .rdd.map { r =>
         val ws = Option(r.getSeq[Int](1)).getOrElse(Nil)
         val trials = Option(r.getSeq[Row](2)).getOrElse(Nil).map(t => (t.getInt(0), t.getBoolean(1))).toArray
         val kw = ws.distinct.toArray
-        (kw, kw.map(w => ws.count(_ == w).toDouble), trials.map(_._1), trials.map(_._2))
+        (r.getLong(0), (kw, kw.map(w => ws.count(_ == w).toDouble), trials.map(_._1), trials.map(_._2)))
       }
-      .cache()
+      .collect().sortBy(_._1).map(_._2)
 
     // ---- init (seeded) -------------------------------------------------
     val rnd = new java.util.Random(seed)
@@ -104,39 +101,34 @@ object TopicEM {
     var phi = Array.fill(z)(normalized(Array.fill(v)(1.0 + rnd.nextDouble())))
     var pp = Array.fill(z * m)(0.05 + 0.1 * rnd.nextDouble()) // pp^t_e at t*m + e
 
-    // A statistics block, topic-major: [log-lik | prior mass (Z) |
+    // The E-step statistics, topic-major: [log-lik | prior mass (Z) |
     // keyword mass (Z·V) | success mass (Z·m) | trial mass (Z·m)].
     val kwAt = 1 + z
     val succAt = kwAt + z * v
     val totAt = succAt + z * m
 
     val logLiks = (0 until iterations).map { _ =>
-      val params = spark.sparkContext.broadcast((prior.map(math.log),
-        phi.flatMap(_.map(p => math.log(math.max(p, 1e-12)))), pp.map(math.log), pp.map(p => math.log1p(-p))))
-      // ---- E-step: one statistics block per partition -----------------
-      val st = logs.mapPartitions { it =>
-        val (logPrior, logPhi, logP, log1mP) = params.value
-        val b = new Array[Double](totAt + z * m)
-        it.foreach { case (kw, cnt, edge, ok) =>
-          val scores = Array.tabulate(z) { t =>
-            val kwSum = kw.indices.foldLeft(0.0)((a, i) => a + cnt(i) * logPhi(t * v + kw(i)))
-            val trSum = edge.indices.foldLeft(0.0)((a, i) => a + (if (ok(i)) logP else log1mP)(t * m + edge(i)))
-            logPrior(t) + (kwSum + trSum)
-          }
-          val mx = scores.max
-          val exps = scores.map(x => math.exp(x - mx))
-          val s = exps.sum
-          b(0) += mx + math.log(s)
-          for (t <- 0 until z) {
-            val r = exps(t) / s
-            b(1 + t) += r
-            for (i <- kw.indices) b(kwAt + t * v + kw(i)) += r * cnt(i)
-            for (i <- edge.indices) { val k = t * m + edge(i); if (ok(i)) b(succAt + k) += r; b(totAt + k) += r }
-          }
+      val (logPrior, logPhi, logP, log1mP) = (prior.map(math.log),
+        phi.flatMap(_.map(p => math.log(math.max(p, 1e-12)))), pp.map(math.log), pp.map(p => math.log1p(-p)))
+      // ---- E-step ------------------------------------------------------
+      val st = new Array[Double](totAt + z * m)
+      logs.foreach { case (kw, cnt, edge, ok) =>
+        val scores = Array.tabulate(z) { t =>
+          val kwSum = kw.indices.foldLeft(0.0)((a, i) => a + cnt(i) * logPhi(t * v + kw(i)))
+          val trSum = edge.indices.foldLeft(0.0)((a, i) => a + (if (ok(i)) logP else log1mP)(t * m + edge(i)))
+          logPrior(t) + (kwSum + trSum)
         }
-        Iterator.single(b)
-      }.collect().transpose.map(_.sum) // blocks merged in partition order
-      params.destroy()
+        val mx = scores.max
+        val exps = scores.map(x => math.exp(x - mx))
+        val s = exps.sum
+        st(0) += mx + math.log(s)
+        for (t <- 0 until z) {
+          val r = exps(t) / s
+          st(1 + t) += r
+          for (i <- kw.indices) st(kwAt + t * v + kw(i)) += r * cnt(i)
+          for (i <- edge.indices) { val k = t * m + edge(i); if (ok(i)) st(succAt + k) += r; st(totAt + k) += r }
+        }
+      }
 
       // ---- M-step ------------------------------------------------------
       val priorSum = st.slice(1, kwAt).sum
@@ -148,7 +140,6 @@ object TopicEM {
       }
       st(0) // the E-step's log-likelihood
     }
-    logs.unpersist()
 
     val graph = CompactGraph.fromEdgeSeq(numNodes, z, edgePairs.indices.map { e =>
       (edgePairs(e)._1.toInt, edgePairs(e)._2.toInt, Array.tabulate(z)(t => pp(t * m + e)))

@@ -182,6 +182,10 @@ class RRIndexSpec extends AnyFunSuite {
     }
   }
 
+  test("a non-positive sample count is rejected") {
+    for (n <- Seq(0, -1)) intercept[IllegalArgumentException](RRIndex.build(g, numSamples = n))
+  }
+
   test("RIS estimate is unbiased: matches exact spread within tolerance") {
     val big = RRIndex.build(g, numSamples = 6000, seed = 3L)
     val gamma = Array(0.5, 0.5)

@@ -138,13 +138,19 @@ class TopicEMSpec extends SparkSpec {
 
   test("the learned model does not depend on spark.sql.shuffle.partitions") {
     val d = SynthData.citeLite(spark, 0.02)
-    def learnAt(partitions: Int): TopicEM.Result = {
-      val old = spark.conf.get("spark.sql.shuffle.partitions")
-      spark.conf.set("spark.sql.shuffle.partitions", partitions.toString)
+    // Without coalescing, adaptive execution keeps all the partitions
+    // instead of merging this small log into one.
+    def learnAt(partitions: Int, coalesce: Boolean = true): TopicEM.Result = {
+      val keys = Seq("spark.sql.shuffle.partitions", "spark.sql.adaptive.coalescePartitions.enabled")
+      val old = keys.map(spark.conf.get)
+      spark.conf.set(keys(0), partitions.toString)
+      spark.conf.set(keys(1), coalesce.toString)
       try TopicEM.learn(spark, d.edges, d.items, d.actions, d.vocab, 4, iterations = 2)
-      finally spark.conf.set("spark.sql.shuffle.partitions", old)
+      finally keys.zip(old).foreach { case (k, v) => spark.conf.set(k, v) }
     }
-    assert(bits(learnAt(1)) == bits(learnAt(16)))
+    val atOne = bits(learnAt(1))
+    assert(atOne == bits(learnAt(16)))
+    assert(atOne == bits(learnAt(16, coalesce = false)))
   }
 
   test("learn rejects no topics and no iterations") {
