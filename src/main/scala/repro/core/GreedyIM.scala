@@ -63,7 +63,8 @@ object GreedyIM {
 
   /** CELF lazy greedy, optionally starting from externally supplied
     * optimistic bounds (`initialUpper`) instead of a full first-round
-    * evaluation — exactly what [[BestEffortKIM]] passes in.
+    * evaluation — exactly what [[BestEffortKIM]] passes in. `k` must lie
+    * in `[1, n]`.
     *
     * The `numSamples` worlds are sampled once per call into
     * [[LiveWorlds]], so every walk scans live edges only and hashes no
@@ -76,6 +77,22 @@ object GreedyIM {
     * to `mcSpread(S ∪ u) − mcSpread(S)` on the same coins — only the
     * cost changes: an evaluation costs the live out-edges of the new
     * nodes it reaches in each world, not every out-edge of them.
+    *
+    * Marginals are evaluated in parallel batches ([[WorldSampler.tabulate]]):
+    * plain CELF's first round evaluates all n nodes in one batch, and
+    * when a popped stale entry has no marginal for the current round yet,
+    * it is evaluated together with the stale entries that have the
+    * highest queue values, up to 4 per available processor, found by a
+    * read-only scan of the queue. The results are kept for the round, and
+    * the queue then sees the same dequeues and enqueues, in the same
+    * order, as a one-at-a-time evaluation would give it; that order
+    * breaks ties between equal values, so the batch is never picked by
+    * popping and re-pushing. A marginal is an integer count over the
+    * worlds divided by R that depends only on the worlds, the round's
+    * reached sets and the node, so the seeds, the spread's bits and
+    * `spreadEvals` do not depend on the batching. `spreadEvals` counts
+    * the evaluations the queue consumes, not the speculative ones a
+    * round ends without.
     */
   def celf(
       g: CompactGraph,
@@ -86,6 +103,7 @@ object GreedyIM {
       initialUpper: Option[Array[Double]] = None,
   ): IMResult = {
     require(numSamples > 0, s"numSamples must be positive, got $numSamples")
+    require(k >= 1 && k <= g.n, s"k must be in 1..${g.n}, got $k")
     var evals = 0L
 
     // per-world reached set of the current seed set S (empty at start)
@@ -93,13 +111,15 @@ object GreedyIM {
     val worlds = LiveWorlds.build(g, probs, numSamples, seed)
     val walk = new LiveWalk(g.n)
 
-    // Nodes newly reachable from u, per world, stopping at reached nodes.
-    def marginal(u: Int): Double = {
-      val source = Array(u)
-      var s = 0; var acc = 0L
-      while (s < numSamples) { acc += walk.forward(worlds, s, source, reached(s)); s += 1 }
-      acc.toDouble / numSamples
-    }
+    // Nodes newly reachable from each node, per world, stopping at
+    // reached nodes; one walk scratch per parallel chunk.
+    def marginals(nodes: Array[Int]): Array[Double] =
+      WorldSampler.tabulate(nodes.length)(new LiveWalk(g.n)) { (own, i) =>
+        val source = Array(nodes(i))
+        var s = 0; var acc = 0L
+        while (s < numSamples) { acc += own.forward(worlds, s, source, reached(s)); s += 1 }
+        acc.toDouble / numSamples
+      }
 
     // queue entries: (value, node, roundEvaluated); value is an upper
     // bound unless roundEvaluated == current round.
@@ -108,13 +128,41 @@ object GreedyIM {
     initialUpper match {
       case Some(ub) => (0 until g.n).foreach(u => pq.enqueue((ub(u), u, -1)))
       case None =>
+        val first = marginals(Array.range(0, g.n))
         (0 until g.n).foreach { u =>
           evals += 1
-          pq.enqueue((marginal(u), u, 0))
+          pq.enqueue((first(u), u, 0))
         }
     }
     val seeds = mutable.ArrayBuffer.empty[Int]
     var round = 0
+
+    // memo(u) is u's marginal in round memoRound(u)
+    val memo = new Array[Double](g.n)
+    val memoRound = Array.fill(g.n)(-1)
+    val batchWidth = 4 * Runtime.getRuntime.availableProcessors
+
+    // u and the stale queue entries without a marginal for this round
+    // that have the highest queue values, at most batchWidth nodes.
+    def batchFrom(u: Int): Array[Int] = {
+      val nodes = new Array[Int](batchWidth)
+      val values = new Array[Double](batchWidth)
+      nodes(0) = u
+      var size = 1
+      pq.iterator.foreach { case (value, v, evalRound) =>
+        if (evalRound != round && memoRound(v) != round &&
+            (size < batchWidth || value > values(size - 1))) {
+          if (size < batchWidth) size += 1
+          var i = size - 1
+          while (i > 1 && values(i - 1) < value) {
+            values(i) = values(i - 1); nodes(i) = nodes(i - 1); i -= 1
+          }
+          values(i) = value; nodes(i) = v
+        }
+      }
+      java.util.Arrays.copyOf(nodes, size)
+    }
+
     while (seeds.length < k && pq.nonEmpty) {
       val (_, u, evalRound) = pq.dequeue()
       if (evalRound == round) {
@@ -128,8 +176,14 @@ object GreedyIM {
         }
         round += 1
       } else {
+        if (memoRound(u) != round) {
+          val batch = batchFrom(u)
+          val gains = marginals(batch)
+          var i = 0
+          while (i < batch.length) { memo(batch(i)) = gains(i); memoRound(batch(i)) = round; i += 1 }
+        }
         evals += 1
-        pq.enqueue((marginal(u), u, round))
+        pq.enqueue((memo(u), u, round))
       }
     }
     // σ̂(S): the per-world reached sets of S, averaged.

@@ -51,7 +51,8 @@ object WorldSampler {
     * processor, and each chunk makes its own `scratch`. When `f` depends
     * only on `s` (a world is fixed by `(seed, s)`) and reads nothing an
     * earlier sample left in the scratch, the result does not depend on
-    * the split.
+    * the split. [[GreedyIM.celf]] runs its batches of marginals through
+    * it too, one index per candidate.
     */
   def tabulate[S, A: ClassTag](numSamples: Int)(scratch: => S)(f: (S, Int) => A): Array[A] = {
     val out = new Array[A](numSamples)

@@ -16,8 +16,9 @@ import repro.topic.{TopicEM, TopicModel}
   *   - [[influencePaths]]     — Scenario 3, interactive influential path
   *     exploration (MIA trees, outward and inward).
   *
-  * Construction mirrors the paper's offline/online split: EM learning is
-  * a Spark job, the influencer-index build walks its samples in parallel
+  * Construction mirrors the paper's offline/online split: EM learning
+  * groups the action log with one Spark query and iterates on the
+  * driver, the influencer-index build walks its samples in parallel
   * chunks and the bound precomputation is a single loop, all run once per
   * system; the service methods answer online from in-memory structures.
   * Callers choose only the index's and KIM's sample counts (`rrSamples`,

@@ -1,7 +1,11 @@
 package repro
 
 import org.apache.spark.sql.DataFrame
+import repro.core.GreedyIM.IMResult
+import repro.core.{LiveWalk, LiveWorlds}
 import repro.data.CompactGraph
+
+import scala.collection.mutable
 
 /** Handcrafted and random tiny graphs shared across test suites, and
   * small helpers the suites share.
@@ -69,6 +73,71 @@ object TestGraphs {
 
   /** In-degree of node `u`. */
   def inDegree(g: CompactGraph, u: Int): Int = g.inOffsets(u + 1) - g.inOffsets(u)
+
+  /** The CELF loop that evaluates one marginal at a time on the calling
+    * thread, as `GreedyIM.celf` did before it evaluated marginals in
+    * parallel batches: the oracle its seeds, spread bits and evaluation
+    * count are checked against.
+    */
+  def sequentialCelf(
+      g: CompactGraph,
+      probs: Array[Double],
+      k: Int,
+      numSamples: Int,
+      seed: Long,
+      initialUpper: Option[Array[Double]] = None,
+  ): IMResult = {
+    require(numSamples > 0, s"numSamples must be positive, got $numSamples")
+    var evals = 0L
+
+    // per-world reached set of the current seed set S (empty at start)
+    val reached = Array.fill(numSamples)(new java.util.BitSet(g.n))
+    val worlds = LiveWorlds.build(g, probs, numSamples, seed)
+    val walk = new LiveWalk(g.n)
+
+    // Nodes newly reachable from u, per world, stopping at reached nodes.
+    def marginal(u: Int): Double = {
+      val source = Array(u)
+      var s = 0; var acc = 0L
+      while (s < numSamples) { acc += walk.forward(worlds, s, source, reached(s)); s += 1 }
+      acc.toDouble / numSamples
+    }
+
+    // queue entries: (value, node, roundEvaluated); value is an upper
+    // bound unless roundEvaluated == current round.
+    val order = Ordering.by[(Double, Int, Int), Double](_._1)
+    val pq = mutable.PriorityQueue.empty[(Double, Int, Int)](order)
+    initialUpper match {
+      case Some(ub) => (0 until g.n).foreach(u => pq.enqueue((ub(u), u, -1)))
+      case None =>
+        (0 until g.n).foreach { u =>
+          evals += 1
+          pq.enqueue((marginal(u), u, 0))
+        }
+    }
+    val seeds = mutable.ArrayBuffer.empty[Int]
+    var round = 0
+    while (seeds.length < k && pq.nonEmpty) {
+      val (_, u, evalRound) = pq.dequeue()
+      if (evalRound == round) {
+        seeds += u
+        val source = Array(u)
+        var s = 0
+        while (s < numSamples) {
+          walk.forward(worlds, s, source, reached(s))
+          walk.addVisitedTo(reached(s))
+          s += 1
+        }
+        round += 1
+      } else {
+        evals += 1
+        pq.enqueue((marginal(u), u, round))
+      }
+    }
+    // σ̂(S): the per-world reached sets of S, averaged.
+    val total = reached.foldLeft(0L)(_ + _.cardinality)
+    IMResult(seeds.toSeq, total.toDouble / numSamples, evals)
+  }
 
   /** Exact expected spread by enumerating every live-edge world — only
     * feasible for graphs with at most ~20 edges.

@@ -117,6 +117,34 @@ class GreedyIMSpec extends AnyFunSuite {
     } finally pool.shutdown()
   }
 
+  test("batched CELF returns the one-at-a-time CELF's seeds, spread bits and evaluation count") {
+    val processors = Runtime.getRuntime.availableProcessors
+    type Key = (Seq[Int], Long, Long)
+    def key(r: GreedyIM.IMResult): Key = (r.seeds, java.lang.Double.doubleToLongBits(r.spread), r.spreadEvals)
+    for (graph <- 0 until 8) {
+      // from fewer nodes than one batch to several batches
+      val g = TestGraphs.random(70 + graph, n = 6 + 13 * graph, maxEdges = 4 * (6 + 13 * graph))
+      val probs = g.mixedProbs(TestGraphs.randomGamma(graph, 2))
+      val bounds = Seq(
+        "plain" -> None,
+        "all n" -> Some(Array.fill(g.n)(g.n.toDouble)),
+        "local" -> Some(Bounds.localUB(g, probs, Bounds.precomputedUB(g), 3).map(_ * 1.05)))
+      for ((name, ub) <- bounds; k <- Seq(1, 3, g.n); r <- Seq(1, math.max(1, processors - 1), 37)) {
+        val expected = key(TestGraphs.sequentialCelf(g, probs, k, r, 5, ub))
+        assert(key(GreedyIM.celf(g, probs, k, r, 5, ub)) == expected, s"graph=$graph bound=$name k=$k R=$r")
+      }
+    }
+  }
+
+  test("CELF rejects k outside 1..n") {
+    val g = TestGraphs.random(62, n = 5)
+    val probs = g.mixedProbs(Array(0.5, 0.5))
+    val ub = Some(Array.fill(g.n)(g.n.toDouble))
+    for (initialUpper <- Seq(None, ub); k <- Seq(0, -1, 6)) {
+      intercept[IllegalArgumentException] { GreedyIM.celf(g, probs, k, 20, 5, initialUpper) }
+    }
+  }
+
   test("CELF rejects a non-positive sample count, also through best-effort KIM") {
     val g = TestGraphs.random(60, n = 6)
     val gamma = Array(0.5, 0.5)
