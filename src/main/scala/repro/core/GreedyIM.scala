@@ -78,21 +78,28 @@ object GreedyIM {
     * cost changes: an evaluation costs the live out-edges of the new
     * nodes it reaches in each world, not every out-edge of them.
     *
-    * Marginals are evaluated in parallel batches ([[WorldSampler.tabulate]]):
-    * plain CELF's first round evaluates all n nodes in one batch, and
-    * when a popped stale entry has no marginal for the current round yet,
-    * it is evaluated together with the stale entries that have the
-    * highest queue values, up to 4 per available processor, found by a
-    * read-only scan of the queue. The results are kept for the round, and
-    * the queue then sees the same dequeues and enqueues, in the same
-    * order, as a one-at-a-time evaluation would give it; that order
-    * breaks ties between equal values, so the batch is never picked by
-    * popping and re-pushing. A marginal is an integer count over the
-    * worlds divided by R that depends only on the worlds, the round's
-    * reached sets and the node, so the seeds, the spread's bits and
-    * `spreadEvals` do not depend on the batching. `spreadEvals` counts
-    * the evaluations the queue consumes, not the speculative ones a
-    * round ends without.
+    * Marginals are evaluated in batches: plain CELF's first round
+    * evaluates all n nodes in one batch, and when a popped stale entry
+    * has no marginal for the current round yet, it is evaluated together
+    * with the stale entries that have the highest queue values, up to 4
+    * per available processor, found by a read-only scan of the queue. The
+    * results are kept for the round, and the queue then sees the same
+    * dequeues and enqueues, in the same order, as a one-at-a-time
+    * evaluation would give it; that order breaks ties between equal
+    * values, so the batch is never picked by popping and re-pushing.
+    * `spreadEvals` counts the evaluations the queue consumes, not the
+    * speculative ones a round ends without.
+    *
+    * Each batch, and each seed's walk that extends the reached sets, runs
+    * in parallel over contiguous ranges of worlds ([[WorldSampler.ranges]]),
+    * so every chunk walks the whole batch and none waits on another's
+    * heavy candidates. Chunk p keeps one walk scratch for the call and
+    * counts each candidate's newly reached nodes on its worlds as a
+    * `Long`; a marginal is the sum of those counts divided by R. Integer
+    * addition is exact in any order, and a world's reached set is only
+    * written by the one chunk that owns it, so the marginals, the seeds,
+    * the spread's bits and `spreadEvals` do not depend on the batching or
+    * the split. `initialUpper`, if given, holds one bound per node.
     */
   def celf(
       g: CompactGraph,
@@ -104,21 +111,58 @@ object GreedyIM {
   ): IMResult = {
     require(numSamples > 0, s"numSamples must be positive, got $numSamples")
     require(k >= 1 && k <= g.n, s"k must be in 1..${g.n}, got $k")
+    initialUpper.foreach { ub =>
+      require(ub.length == g.n, s"initialUpper must hold one bound per node (${g.n}), got ${ub.length}")
+    }
     var evals = 0L
 
     // per-world reached set of the current seed set S (empty at start)
     val reached = Array.fill(numSamples)(new java.util.BitSet(g.n))
     val worlds = LiveWorlds.build(g, probs, numSamples, seed)
-    val walk = new LiveWalk(g.n)
+    // chunk p of every parallel step walks its own range of worlds with walks(p)
+    val parts = WorldSampler.chunks(numSamples)
+    val walks = Array.fill(parts)(new LiveWalk(g.n))
 
     // Nodes newly reachable from each node, per world, stopping at
-    // reached nodes; one walk scratch per parallel chunk.
-    def marginals(nodes: Array[Int]): Array[Double] =
-      WorldSampler.tabulate(nodes.length)(new LiveWalk(g.n)) { (own, i) =>
-        val source = Array(nodes(i))
-        var s = 0; var acc = 0L
-        while (s < numSamples) { acc += own.forward(worlds, s, source, reached(s)); s += 1 }
+    // reached nodes: each chunk counts every node on its worlds into its
+    // row of partial sums, and the rows are added per node.
+    def marginals(nodes: Array[Int]): Array[Double] = {
+      val width = nodes.length
+      val partial = new Array[Long](parts * width)
+      WorldSampler.ranges(numSamples, parts) { (p, from, until) =>
+        val walk = walks(p)
+        val source = new Array[Int](1)
+        val row = p * width
+        var s = from
+        while (s < until) {
+          var i = 0
+          while (i < width) {
+            source(0) = nodes(i)
+            partial(row + i) += walk.forward(worlds, s, source, reached(s))
+            i += 1
+          }
+          s += 1
+        }
+      }
+      Array.tabulate(width) { i =>
+        var acc = 0L
+        var p = 0
+        while (p < parts) { acc += partial(p * width + i); p += 1 }
         acc.toDouble / numSamples
+      }
+    }
+
+    // Extends every world's reached set by what `u` reaches in it.
+    def addSeed(u: Int): Unit =
+      WorldSampler.ranges(numSamples, parts) { (p, from, until) =>
+        val walk = walks(p)
+        val source = Array(u)
+        var s = from
+        while (s < until) {
+          walk.forward(worlds, s, source, reached(s))
+          walk.addVisitedTo(reached(s))
+          s += 1
+        }
       }
 
     // queue entries: (value, node, roundEvaluated); value is an upper
@@ -167,13 +211,7 @@ object GreedyIM {
       val (_, u, evalRound) = pq.dequeue()
       if (evalRound == round) {
         seeds += u
-        val source = Array(u)
-        var s = 0
-        while (s < numSamples) {
-          walk.forward(worlds, s, source, reached(s))
-          walk.addVisitedTo(reached(s))
-          s += 1
-        }
+        addSeed(u)
         round += 1
       } else {
         if (memoRound(u) != round) {

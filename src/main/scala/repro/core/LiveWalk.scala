@@ -17,9 +17,9 @@ import repro.data.CompactGraph
   * [[LiveWorlds]] has already sampled: then it scans live edges only and
   * hashes no coin (many walks on the same worlds, as in CELF).
   *
-  * One instance belongs to one thread of one call (a parallel chunk of
-  * CELF's marginals makes its own) and is reused across its walks; it is
-  * not thread-safe.
+  * One instance belongs to one thread at a time and is reused across its
+  * walks; it is not thread-safe. CELF keeps one per parallel chunk of
+  * worlds for the whole call.
   *
   * @param n number of nodes; ids must lie in `0 until n`
   */

@@ -22,6 +22,8 @@ object LiveWorlds {
     */
   def build(g: CompactGraph, probs: Array[Double], numSamples: Int, seed: Long): LiveWorlds = {
     require(numSamples > 0, s"numSamples must be positive, got $numSamples")
+    require(probs.length == g.numEdges,
+      s"probs must hold one probability per edge (${g.numEdges}), got ${probs.length}")
     val worlds = WorldSampler.tabulate(numSamples)(new Array[Int](g.numEdges)) { (live, s) =>
       val off = new Array[Int](g.n + 1)
       var size = 0

@@ -19,8 +19,8 @@ import scala.reflect.ClassTag
   *     without resampling (§II-D).
   *   - **Offline/online agreement**: the index build walks exactly the
   *     worlds the online walks re-evaluate.
-  *   - **Split independence**: per-sample work ([[tabulate]]) can run in
-  *     parallel chunks without changing any result.
+  *   - **Split independence**: per-sample work ([[ranges]], [[tabulate]])
+  *     can run in parallel chunks without changing any result.
   */
 object WorldSampler {
 
@@ -46,22 +46,39 @@ object WorldSampler {
     math.min(n - 1, (x * n).toInt)
   }
 
-  /** The array of `f(scratch, s)` over the samples `s < numSamples`.
-    * Contiguous chunks of samples run in parallel, one per available
-    * processor, and each chunk makes its own `scratch`. When `f` depends
-    * only on `s` (a world is fixed by `(seed, s)`) and reads nothing an
-    * earlier sample left in the scratch, the result does not depend on
-    * the split. [[GreedyIM.celf]] runs its batches of marginals through
-    * it too, one index per candidate.
+  /** The number of chunks [[ranges]] splits `numSamples` samples into:
+    * one per available processor, and never more than the samples.
+    */
+  def chunks(numSamples: Int): Int = math.min(numSamples, Runtime.getRuntime.availableProcessors)
+
+  /** Runs `f(chunk, from, until)` in parallel over `parts` contiguous
+    * ranges of the samples `s < numSamples`, chunk `p` taking
+    * `[numSamples·p/parts, numSamples·(p+1)/parts)`. Every sample lies in
+    * exactly one range, and the ranges ascend with the chunk index. Each
+    * chunk index runs on one thread, and every write a chunk makes is
+    * visible to the caller when this returns, so state indexed by the
+    * chunk (a walk scratch, a row of partial sums) can be kept across
+    * calls with the same `parts`.
+    */
+  def ranges(numSamples: Int, parts: Int)(f: (Int, Int, Int) => Unit): Unit = {
+    require(parts >= 1 && parts <= numSamples, s"parts must be in 1..$numSamples, got $parts")
+    IntStream.range(0, parts).parallel().forEach { (p: Int) =>
+      f(p, (numSamples.toLong * p / parts).toInt, (numSamples.toLong * (p + 1) / parts).toInt)
+    }
+  }
+
+  /** The array of `f(scratch, s)` over the samples `s < numSamples`,
+    * computed over the [[ranges]] of `chunks(numSamples)`; each chunk
+    * makes its own `scratch`. When `f` depends only on `s` (a world is
+    * fixed by `(seed, s)`) and reads nothing an earlier sample left in
+    * the scratch, the result does not depend on the split.
     */
   def tabulate[S, A: ClassTag](numSamples: Int)(scratch: => S)(f: (S, Int) => A): Array[A] = {
     val out = new Array[A](numSamples)
-    val parts = math.min(numSamples, Runtime.getRuntime.availableProcessors)
-    IntStream.range(0, parts).parallel().forEach { (p: Int) =>
+    ranges(numSamples, chunks(numSamples)) { (_, from, until) =>
       val own = scratch
-      var s = (numSamples.toLong * p / parts).toInt
-      val end = (numSamples.toLong * (p + 1) / parts).toInt
-      while (s < end) { out(s) = f(own, s); s += 1 }
+      var s = from
+      while (s < until) { out(s) = f(own, s); s += 1 }
     }
     out
   }

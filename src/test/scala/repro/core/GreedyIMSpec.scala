@@ -145,6 +145,15 @@ class GreedyIMSpec extends AnyFunSuite {
     }
   }
 
+  test("CELF rejects initial bounds that are not one per node") {
+    val g = TestGraphs.random(63, n = 5)
+    val probs = g.mixedProbs(Array(0.5, 0.5))
+    for (len <- Seq(0, g.n - 1, g.n + 1)) {
+      val ub = Some(Array.fill(len)(g.n.toDouble))
+      intercept[IllegalArgumentException] { GreedyIM.celf(g, probs, 2, 20, 5, ub) }
+    }
+  }
+
   test("CELF rejects a non-positive sample count, also through best-effort KIM") {
     val g = TestGraphs.random(60, n = 6)
     val gamma = Array(0.5, 0.5)

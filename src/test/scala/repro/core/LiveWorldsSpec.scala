@@ -67,4 +67,9 @@ class LiveWorldsSpec extends AnyFunSuite {
   test("a non-positive sample count is rejected") {
     intercept[IllegalArgumentException](LiveWorlds.build(g, probs, 0, seed))
   }
+
+  test("a probability vector that is not one per edge is rejected") {
+    for (len <- Seq(0, g.numEdges - 1, g.numEdges + 1))
+      intercept[IllegalArgumentException](LiveWorlds.build(g, new Array[Double](len), 5, seed))
+  }
 }

@@ -78,4 +78,29 @@ class WorldSamplerSpec extends AnyFunSuite {
     val cov = a.zip(b).map { case (x, y) => (x - ma) * (y - mb) }.sum / n
     assert(math.abs(cov) < 0.005)
   }
+
+  test("ranges cover every sample once, in contiguous ranges ascending by chunk") {
+    val cores = Runtime.getRuntime.availableProcessors
+    for (r <- Seq(1, math.max(1, cores - 1), cores, cores + 1, 37, 200).distinct) {
+      val parts = WorldSampler.chunks(r)
+      assert(parts == math.min(r, cores), s"r=$r")
+      val seen = new java.util.concurrent.ConcurrentLinkedQueue[(Int, Int, Int)]
+      val owner = new java.util.concurrent.atomic.AtomicIntegerArray(r)
+      WorldSampler.ranges(r, parts) { (p, from, until) =>
+        seen.add((p, from, until))
+        (from until until).foreach(s => owner.incrementAndGet(s))
+      }
+      val chunks = seen.toArray(Array.empty[(Int, Int, Int)]).sortBy(_._1).toSeq
+      assert(chunks.map(_._1) == (0 until parts), s"r=$r")
+      assert(chunks.head._2 == 0 && chunks.last._3 == r, s"r=$r")
+      chunks.sliding(2).filter(_.length == 2).foreach(c => assert(c(0)._3 == c(1)._2, s"r=$r $c"))
+      chunks.foreach { case (p, from, until) => assert(from < until, s"r=$r chunk=$p is empty") }
+      assert((0 until r).forall(s => owner.get(s) == 1), s"r=$r")
+    }
+  }
+
+  test("ranges rejects a chunk count outside 1..numSamples") {
+    for ((r, parts) <- Seq((5, 0), (5, 6), (0, 1)))
+      intercept[IllegalArgumentException](WorldSampler.ranges(r, parts)((_, _, _) => ()))
+  }
 }
