@@ -78,15 +78,21 @@ object GreedyIM {
     * cost changes: an evaluation costs the live out-edges of the new
     * nodes it reaches in each world, not every out-edge of them.
     *
+    * The lazy-greedy queue is a [[CelfQueue]]: a max-heap on primitive
+    * arrays that takes the steps of Scala's `PriorityQueue` ordered by
+    * value, so it dequeues the same entries, ties included.
+    *
     * Marginals are evaluated in batches: plain CELF's first round
     * evaluates all n nodes in one batch, and when a popped stale entry
     * has no marginal for the current round yet, it is evaluated together
     * with the stale entries that have the highest queue values, up to 4
-    * per available processor, found by a read-only scan of the queue. The
-    * results are kept for the round, and the queue then sees the same
-    * dequeues and enqueues, in the same order, as a one-at-a-time
-    * evaluation would give it; that order breaks ties between equal
-    * values, so the batch is never picked by popping and re-pushing.
+    * per available processor, picked by a best-first walk of the heap
+    * from its root ([[CelfQueue.staleTop]]). The results are kept for the
+    * round, and the queue then sees the same dequeues and enqueues, in
+    * the same order, as a one-at-a-time evaluation would give it; that
+    * order breaks ties between equal values, so the batch is never picked
+    * by popping and re-pushing. Which entries join a batch only decides
+    * which marginals are computed ahead of their pop, never an answer:
     * `spreadEvals` counts the evaluations the queue consumes, not the
     * speculative ones a round ends without.
     *
@@ -99,7 +105,8 @@ object GreedyIM {
     * addition is exact in any order, and a world's reached set is only
     * written by the one chunk that owns it, so the marginals, the seeds,
     * the spread's bits and `spreadEvals` do not depend on the batching or
-    * the split. `initialUpper`, if given, holds one bound per node.
+    * the split. `initialUpper`, if given, holds one bound per node and
+    * no NaN.
     */
   def celf(
       g: CompactGraph,
@@ -113,6 +120,7 @@ object GreedyIM {
     require(k >= 1 && k <= g.n, s"k must be in 1..${g.n}, got $k")
     initialUpper.foreach { ub =>
       require(ub.length == g.n, s"initialUpper must hold one bound per node (${g.n}), got ${ub.length}")
+      require(!ub.exists(_.isNaN), "initialUpper must not hold NaN")
     }
     var evals = 0L
 
@@ -123,11 +131,17 @@ object GreedyIM {
     val parts = WorldSampler.chunks(numSamples)
     val walks = Array.fill(parts)(new LiveWalk(g.n))
 
-    // Nodes newly reachable from each node, per world, stopping at
-    // reached nodes: each chunk counts every node on its worlds into its
-    // row of partial sums, and the rows are added per node.
-    def marginals(nodes: Array[Int]): Array[Double] = {
-      val width = nodes.length
+    val seeds = mutable.ArrayBuffer.empty[Int]
+    var round = 0
+    // memo(u) is u's marginal in round memoRound(u)
+    val memo = new Array[Double](g.n)
+    val memoRound = Array.fill(g.n)(-1)
+
+    // Memoises this round's marginals of nodes(0 until width): the nodes
+    // newly reachable from each, per world, stopping at reached nodes.
+    // Each chunk counts every node on its worlds into its row of partial
+    // sums, and the rows are added per node.
+    def evaluate(nodes: Array[Int], width: Int): Unit = {
       val partial = new Array[Long](parts * width)
       WorldSampler.ranges(numSamples, parts) { (p, from, until) =>
         val walk = walks(p)
@@ -144,11 +158,14 @@ object GreedyIM {
           s += 1
         }
       }
-      Array.tabulate(width) { i =>
+      var i = 0
+      while (i < width) {
         var acc = 0L
         var p = 0
         while (p < parts) { acc += partial(p * width + i); p += 1 }
-        acc.toDouble / numSamples
+        memo(nodes(i)) = acc.toDouble / numSamples
+        memoRound(nodes(i)) = round
+        i += 1
       }
     }
 
@@ -167,61 +184,35 @@ object GreedyIM {
 
     // queue entries: (value, node, roundEvaluated); value is an upper
     // bound unless roundEvaluated == current round.
-    val order = Ordering.by[(Double, Int, Int), Double](_._1)
-    val pq = mutable.PriorityQueue.empty[(Double, Int, Int)](order)
+    val queue = new CelfQueue(g.n)
     initialUpper match {
-      case Some(ub) => (0 until g.n).foreach(u => pq.enqueue((ub(u), u, -1)))
+      case Some(ub) =>
+        var u = 0
+        while (u < g.n) { queue.enqueue(ub(u), u, -1); u += 1 }
       case None =>
-        val first = marginals(Array.range(0, g.n))
-        (0 until g.n).foreach { u =>
-          evals += 1
-          pq.enqueue((first(u), u, 0))
-        }
-    }
-    val seeds = mutable.ArrayBuffer.empty[Int]
-    var round = 0
-
-    // memo(u) is u's marginal in round memoRound(u)
-    val memo = new Array[Double](g.n)
-    val memoRound = Array.fill(g.n)(-1)
-    val batchWidth = 4 * Runtime.getRuntime.availableProcessors
-
-    // u and the stale queue entries without a marginal for this round
-    // that have the highest queue values, at most batchWidth nodes.
-    def batchFrom(u: Int): Array[Int] = {
-      val nodes = new Array[Int](batchWidth)
-      val values = new Array[Double](batchWidth)
-      nodes(0) = u
-      var size = 1
-      pq.iterator.foreach { case (value, v, evalRound) =>
-        if (evalRound != round && memoRound(v) != round &&
-            (size < batchWidth || value > values(size - 1))) {
-          if (size < batchWidth) size += 1
-          var i = size - 1
-          while (i > 1 && values(i - 1) < value) {
-            values(i) = values(i - 1); nodes(i) = nodes(i - 1); i -= 1
-          }
-          values(i) = value; nodes(i) = v
-        }
-      }
-      java.util.Arrays.copyOf(nodes, size)
+        evaluate(Array.range(0, g.n), g.n)
+        var u = 0
+        while (u < g.n) { evals += 1; queue.enqueue(memo(u), u, 0); u += 1 }
     }
 
-    while (seeds.length < k && pq.nonEmpty) {
-      val (_, u, evalRound) = pq.dequeue()
+    // a batch: the popped node, then the best stale entries of the queue
+    val batch = new Array[Int](4 * Runtime.getRuntime.availableProcessors)
+
+    while (seeds.length < k && queue.nonEmpty) {
+      val u = queue.headNode
+      val evalRound = queue.headRound
+      queue.dequeue()
       if (evalRound == round) {
         seeds += u
         addSeed(u)
         round += 1
       } else {
         if (memoRound(u) != round) {
-          val batch = batchFrom(u)
-          val gains = marginals(batch)
-          var i = 0
-          while (i < batch.length) { memo(batch(i)) = gains(i); memoRound(batch(i)) = round; i += 1 }
+          batch(0) = u
+          evaluate(batch, queue.staleTop(round, memoRound, batch, 1))
         }
         evals += 1
-        pq.enqueue((memo(u), u, round))
+        queue.enqueue(memo(u), u, round)
       }
     }
     // σ̂(S): the per-world reached sets of S, averaged.
@@ -248,4 +239,111 @@ object GreedyIM {
   /** Top-k by out-degree — the cheapest heuristic baseline. */
   def topDegree(g: CompactGraph, k: Int): Seq[Int] =
     (0 until g.n).sortBy(u => -g.outDegree(u)).take(k)
+}
+
+/** CELF's lazy-greedy queue of `(value, node, round)` entries: a max-heap
+  * of at most `capacity` entries on three primitive arrays.
+  *
+  * `enqueue` and `dequeue` take the steps of Scala 2.13's mutable
+  * `PriorityQueue` ordered by value with `java.lang.Double.compare`:
+  * 1-based slots, sift-up from the new last slot on add, and on removal
+  * the last entry moved to the root and sifted down, the larger child
+  * taken and the left one on a tie. So a sequence of operations dequeues
+  * the same entries, ties included, as that queue does, without a boxed
+  * tuple per entry. `celf` rejects NaN bounds, which this order would put
+  * above every other value.
+  */
+private[core] final class CelfQueue(capacity: Int) {
+  private val values = new Array[Double](capacity + 1)
+  private val nodes = new Array[Int](capacity + 1)
+  private val rounds = new Array[Int](capacity + 1)
+  // entries occupy slots 1..last
+  private var last = 0
+  // staleTop's frontier, slots 1..frontier of `open`: a max-heap of queue
+  // slots keyed by their values. A walk adds each slot at most once.
+  private val open = new Array[Int](capacity + 1)
+  private var frontier = 0
+
+  def nonEmpty: Boolean = last > 0
+  def headValue: Double = values(1)
+  def headNode: Int = nodes(1)
+  def headRound: Int = rounds(1)
+
+  def enqueue(value: Double, node: Int, round: Int): Unit = {
+    last += 1
+    var k = last
+    while (k > 1 && java.lang.Double.compare(values(k / 2), value) < 0) {
+      move(k / 2, k)
+      k /= 2
+    }
+    values(k) = value; nodes(k) = node; rounds(k) = round
+  }
+
+  /** Removes the head entry. */
+  def dequeue(): Unit = {
+    if (last == 0) throw new NoSuchElementException("dequeue on an empty CelfQueue")
+    val value = values(last); val node = nodes(last); val round = rounds(last)
+    last -= 1
+    var k = 1
+    var sifting = true
+    while (sifting && 2 * k <= last) {
+      var j = 2 * k
+      if (j < last && java.lang.Double.compare(values(j), values(j + 1)) < 0) j += 1
+      if (java.lang.Double.compare(value, values(j)) >= 0) sifting = false
+      else { move(j, k); k = j }
+    }
+    values(k) = value; nodes(k) = node; rounds(k) = round
+  }
+
+  /** Writes into `batch`, from index `from` on, the nodes of the entries
+    * whose round and whose `memoRound` both differ from `round`, highest
+    * values first, until `batch` is full or no entry is left; returns the
+    * length filled. The walk starts at the root and opens a slot's
+    * children only once the slot leaves the frontier, so by the heap
+    * order it meets entries in descending value order and stops after the
+    * skipped entries that outrank the last one written.
+    */
+  def staleTop(round: Int, memoRound: Array[Int], batch: Array[Int], from: Int): Int = {
+    var filled = from
+    frontier = 0
+    if (last > 0) pushOpen(1)
+    while (filled < batch.length && frontier > 0) {
+      val slot = popOpen()
+      if (rounds(slot) != round && memoRound(nodes(slot)) != round) {
+        batch(filled) = nodes(slot)
+        filled += 1
+      }
+      if (2 * slot <= last) pushOpen(2 * slot)
+      if (2 * slot + 1 <= last) pushOpen(2 * slot + 1)
+    }
+    filled
+  }
+
+  private def pushOpen(slot: Int): Unit = {
+    frontier += 1
+    var k = frontier
+    while (k > 1 && values(open(k / 2)) < values(slot)) { open(k) = open(k / 2); k /= 2 }
+    open(k) = slot
+  }
+
+  private def popOpen(): Int = {
+    val top = open(1)
+    val slot = open(frontier)
+    frontier -= 1
+    var k = 1
+    var sifting = true
+    while (sifting && 2 * k <= frontier) {
+      var j = 2 * k
+      if (j < frontier && values(open(j)) < values(open(j + 1))) j += 1
+      if (values(slot) >= values(open(j))) sifting = false
+      else { open(k) = open(j); k = j }
+    }
+    open(k) = slot
+    top
+  }
+
+  // copies the entry in slot `from` to slot `to`
+  private def move(from: Int, to: Int): Unit = {
+    values(to) = values(from); nodes(to) = nodes(from); rounds(to) = rounds(from)
+  }
 }

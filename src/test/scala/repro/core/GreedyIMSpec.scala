@@ -2,6 +2,9 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.TestGraphs
+import repro.data.CompactGraph
+
+import scala.collection.mutable
 
 /** Greedy IM baselines: CELF ≡ plain greedy on shared worlds, and the
   * individual-ranking baseline Scenario 1 contrasts against.
@@ -151,6 +154,87 @@ class GreedyIMSpec extends AnyFunSuite {
     for (len <- Seq(0, g.n - 1, g.n + 1)) {
       val ub = Some(Array.fill(len)(g.n.toDouble))
       intercept[IllegalArgumentException] { GreedyIM.celf(g, probs, 2, 20, 5, ub) }
+    }
+  }
+
+  test("CELF rejects initial bounds that hold NaN") {
+    val g = TestGraphs.random(64, n = 5)
+    val probs = g.mixedProbs(Array(0.5, 0.5))
+    for (at <- Seq(0, 2, g.n - 1)) {
+      val ub = Array.fill(g.n)(g.n.toDouble)
+      ub(at) = Double.NaN
+      intercept[IllegalArgumentException] { GreedyIM.celf(g, probs, 2, 20, 5, Some(ub)) }
+    }
+  }
+
+  test("CelfQueue dequeues what mutable.PriorityQueue dequeues, ties included, and staleTop takes the best stale entries") {
+    val batchWidth = 4 * Runtime.getRuntime.availableProcessors
+    val pool = Array(-0.0, 0.0, 1.0, 2.5, 7.0)
+    type Entry = (Double, Int, Int)
+    def bits(e: Entry): (Long, Int, Int) = (java.lang.Double.doubleToLongBits(e._1), e._2, e._3)
+    for (n <- Seq(1, 2, 7, batchWidth - 1, batchWidth, batchWidth + 1, 10 * batchWidth); trial <- 0 until 12) {
+      val rnd = new java.util.Random(1000L * n + trial)
+      // at most 4 distinct values, so most comparisons are ties
+      val distinct = new scala.util.Random(rnd).shuffle(pool.toSeq).take(1 + rnd.nextInt(4))
+      def value(): Double = distinct(rnd.nextInt(distinct.length))
+      val queue = new CelfQueue(n)
+      val pq = mutable.PriorityQueue.empty[Entry](Ordering.by[Entry, Double](_._1))
+      (0 until n).foreach { u =>
+        val v = value()
+        queue.enqueue(v, u, -1)
+        pq.enqueue((v, u, -1))
+      }
+      val out = mutable.ArrayBuffer.empty[Int]
+      var step = 0
+      while (pq.nonEmpty || out.nonEmpty) {
+        val where = s"n=$n trial=$trial step=$step"
+        if (pq.nonEmpty && (out.isEmpty || rnd.nextInt(3) > 0)) {
+          val expected = pq.dequeue()
+          assert(queue.nonEmpty, where)
+          assert(bits((queue.headValue, queue.headNode, queue.headRound)) == bits(expected), where)
+          queue.dequeue()
+          if (step < 3 * n) out += expected._2
+        } else {
+          val u = out.remove(rnd.nextInt(out.length))
+          val e = (value(), u, rnd.nextInt(3))
+          queue.enqueue(e._1, e._2, e._3)
+          pq.enqueue(e)
+        }
+        if (rnd.nextInt(4) == 0) {
+          // staleTop against a sort of the eligible entries by value
+          val round = rnd.nextInt(3)
+          val memoRound = Array.fill(n)(if (rnd.nextInt(4) == 0) round else -1)
+          val from = 1 + rnd.nextInt(batchWidth)
+          val batch = new Array[Int](from + batchWidth)
+          val filled = queue.staleTop(round, memoRound, batch, from)
+          val eligible = pq.iterator.filter(e => e._3 != round && memoRound(e._2) != round).toSeq
+          val valueOf = pq.iterator.map(e => e._2 -> e._1).toMap
+          val picked = batch.slice(from, filled).toSeq
+          assert(picked.distinct == picked && picked.forall(eligible.map(_._2).toSet), where)
+          assert(picked.map(valueOf) == eligible.map(_._1).sortBy(-_).take(batchWidth), where)
+        }
+        step += 1
+      }
+      assert(!queue.nonEmpty)
+    }
+  }
+
+  test("batched CELF returns the one-at-a-time CELF's answer on a tie-heavy graph of many batches") {
+    type Key = (Seq[Int], Long, Long)
+    def key(r: GreedyIM.IMResult): Key = (r.seeds, java.lang.Double.doubleToLongBits(r.spread), r.spreadEvals)
+    // 320 nodes, two out-edges each at one probability: many equal marginals
+    val n = 320
+    val rnd = new java.util.Random(90)
+    val pairs = mutable.LinkedHashSet.empty[(Int, Int)]
+    for (u <- 0 until n; _ <- 0 until 2) {
+      val v = rnd.nextInt(n)
+      if (v != u) pairs += ((u, v))
+    }
+    val g = CompactGraph.fromEdgeSeq(n, 1, pairs.toSeq.map { case (u, v) => (u, v, Array(0.3)) })
+    val probs = g.mixedProbs(Array(1.0))
+    for (ub <- Seq(Some(Array.fill(n)(n.toDouble)), None); r <- Seq(1, 3)) {
+      val expected = key(TestGraphs.sequentialCelf(g, probs, 5, r, 5, ub))
+      assert(key(GreedyIM.celf(g, probs, 5, r, 5, ub)) == expected, s"bound=${ub.isDefined} R=$r")
     }
   }
 
